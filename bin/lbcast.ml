@@ -537,8 +537,7 @@ let warn_recovery (r : Campaign.Journal.recovery) =
       | None -> "")
 
 let do_campaign exp gspec algo f quick domains seed out max_scenarios chaos
-    net max_rounds deadline retries strict no_steal cache no_cache
-    kill_after =
+    net max_rounds deadline retries strict cache no_cache kill_after =
   let grid =
     match (exp, gspec) with
     | Some name, _ -> (
@@ -583,7 +582,6 @@ let do_campaign exp gspec algo f quick domains seed out max_scenarios chaos
       deadline_s = deadline;
       retries;
       strict;
-      steal = not no_steal;
       kill_after_verdicts = Option.map (fun k -> (k, true)) kill_after;
     }
   in
@@ -770,8 +768,7 @@ let do_report path fingerprint stats =
 (* lint                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let do_lint roots baseline write_baseline update_baseline json deep sarif
-    deep_cache =
+let do_lint roots baseline write_baseline update_baseline json deep sarif =
   Lbc_lint.Driver.main
     {
       Lbc_lint.Driver.roots;
@@ -781,7 +778,6 @@ let do_lint roots baseline write_baseline update_baseline json deep sarif
       json;
       deep;
       sarif;
-      deep_cache;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -1136,15 +1132,6 @@ let campaign_cmd =
              timed-out scenario instead of recording a verdict and \
              continuing.")
   in
-  let no_steal =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "Disable work-stealing: each worker keeps its static \
-             contiguous block of scenarios (the straggler-sensitive \
-             baseline the E17 study measures against).")
-  in
   let cache =
     Arg.(
       value
@@ -1183,7 +1170,7 @@ let campaign_cmd =
     Term.(
       const do_campaign $ exp $ gspec $ algo $ f_arg $ quick $ domains $ seed
       $ out $ max_scenarios $ chaos $ net $ max_rounds $ deadline $ retries
-      $ strict $ no_steal $ cache $ no_cache $ kill_after)
+      $ strict $ cache $ no_cache $ kill_after)
 
 let lint_cmd =
   let roots =
@@ -1220,7 +1207,7 @@ let lint_cmd =
   let json =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Emit a machine-readable lbclint/3 JSON report.")
+      & info [ "json" ] ~doc:"Emit a machine-readable lbclint/4 JSON report.")
   in
   let deep =
     Arg.(
@@ -1240,15 +1227,6 @@ let lint_cmd =
       & info [ "sarif" ] ~docv:"FILE"
           ~doc:"Also write the findings as SARIF 2.1.0 to $(docv).")
   in
-  let deep_cache =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "deep-cache" ] ~docv:"DIR"
-          ~doc:
-            "Incremental summary cache for the $(b,--deep) pass (warm runs \
-             re-analyze only changed modules).")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
@@ -1262,7 +1240,7 @@ let lint_cmd =
           error.")
     Term.(
       const do_lint $ roots $ baseline $ write_baseline $ update_baseline
-      $ json $ deep $ sarif $ deep_cache)
+      $ json $ deep $ sarif)
 
 let report_cmd =
   let path =

@@ -10,8 +10,7 @@
 
 open Cmdliner
 
-let do_lint roots baseline write_baseline update_baseline json deep sarif
-    deep_cache =
+let do_lint roots baseline write_baseline update_baseline json deep sarif =
   Lbc_lint.Driver.main
     {
       Lbc_lint.Driver.roots;
@@ -21,7 +20,6 @@ let do_lint roots baseline write_baseline update_baseline json deep sarif
       json;
       deep;
       sarif;
-      deep_cache;
     }
 
 let roots_arg =
@@ -67,7 +65,7 @@ let json_arg =
     value & flag
     & info [ "json" ]
         ~doc:
-          "Emit a machine-readable lbclint/3 JSON report instead of \
+          "Emit a machine-readable lbclint/4 JSON report instead of \
            human-readable lines.")
 
 let deep_arg =
@@ -94,16 +92,6 @@ let sarif_arg =
            (suppressed and baselined findings included with their \
            suppression kind).")
 
-let deep_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "deep-cache" ] ~docv:"DIR"
-        ~doc:
-          "Incremental cache directory for the $(b,--deep) pass: per-unit \
-           analysis summaries keyed by .cmt digests and the program \
-           closure, so a warm run re-analyzes only changed modules.")
-
 let cmd =
   Cmd.v
     (Cmd.info "lbclint" ~version:"1.1.0"
@@ -112,6 +100,6 @@ let cmd =
           rules E1/E2/E3/E4/M1/X1) for the lbcast repository.")
     Term.(
       const do_lint $ roots_arg $ baseline_arg $ write_baseline_arg
-      $ update_baseline_arg $ json_arg $ deep_arg $ sarif_arg $ deep_cache_arg)
+      $ update_baseline_arg $ json_arg $ deep_arg $ sarif_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -79,10 +79,7 @@ val version : int
 (** Artifact format version; serialized as ["lbc-campaign/<version>"]. *)
 
 val no_cache_info : cache_info
-val no_steal_info : steal_info
-val no_recovery_info : recovery_info
-(** All-zero reports, for callers assembling artifacts outside the
-    runner (tests, legacy conversion). *)
+(** The all-zero cache report of a run without a result cache. *)
 
 type summary = {
   total : int;

@@ -1,8 +1,8 @@
 (* Streaming verdict journal: the crash-survivable progress format.
 
    Layout: one JSON header line (text, newline-terminated — greppable and
-   header-validated like the legacy Checkpoint format), followed by
-   binary-framed records, one per scenario verdict:
+   validated against the run's identity), followed by binary-framed
+   records, one per scenario verdict:
 
        [4-byte BE payload length] [payload bytes] [4-byte BE CRC32]
 
@@ -136,8 +136,8 @@ let record_of_json j =
           Some
             {
               index;
-              (* Clamp mirrors Checkpoint.load: a clock step backwards
-                 mid-scenario must not surface as negative wall time. *)
+              (* A clock step backwards mid-scenario must not surface
+                 as negative wall time. *)
               wall_s = Float.max 0.0 wall_s;
               algo;
               counters;

@@ -7,49 +7,6 @@ type failure = {
   prior_messages : string list;
 }
 
-exception Task_failed of failure
-
-let () =
-  Printexc.register_printer (function
-    | Task_failed fl ->
-        Some
-          (Printf.sprintf "Task_failed(task %d%s: %s)" fl.index
-             (if fl.description = "" then "" else " [" ^ fl.description ^ "]")
-             fl.message)
-    | _ -> None)
-
-type 'a shared = {
-  queue : (int * 'a) Queue.t;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  mutable closed : bool;  (** no further tasks will be enqueued *)
-  mutable poisoned : failure option;  (** first failure; aborts the pool *)
-}
-
-let take sh =
-  Mutex.lock sh.mutex;
-  let rec go () =
-    if sh.poisoned <> None then None
-    else
-      match Queue.take_opt sh.queue with
-      | Some t -> Some t
-      | None ->
-          if sh.closed then None
-          else begin
-            Condition.wait sh.nonempty sh.mutex;
-            go ()
-          end
-  in
-  let r = go () in
-  Mutex.unlock sh.mutex;
-  r
-
-let poison sh fl =
-  Mutex.lock sh.mutex;
-  if sh.poisoned = None then sh.poisoned <- Some fl;
-  Condition.broadcast sh.nonempty;
-  Mutex.unlock sh.mutex
-
 let failure_of ~describe ~attempts ~prior i t exn bt =
   {
     index = i;
@@ -59,86 +16,6 @@ let failure_of ~describe ~attempts ~prior i t exn bt =
     attempts;
     prior_messages = prior;
   }
-
-let shared_of_tasks tasks =
-  let sh =
-    {
-      queue = Queue.create ();
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      closed = false;
-      poisoned = None;
-    }
-  in
-  Array.iteri (fun i t -> Queue.add (i, t) sh.queue) tasks;
-  sh.closed <- true;
-  sh
-
-(* [exec] owns failure handling and must not raise; the worker loop
-   itself is exception-free. *)
-let worker sh exec =
-  let rec go () =
-    match take sh with
-    | None -> ()
-    | Some (i, t) ->
-        exec i t;
-        go ()
-  in
-  go ()
-
-(* The calling domain always runs a worker; extra domains join it when
-   both the budget and the task count warrant. Every execution path —
-   1 domain or N — goes through [worker]/[exec]. *)
-let drive sh ~domains ~tasks exec =
-  let spawned =
-    if domains <= 1 then 0 else min (domains - 1) (Array.length tasks - 1)
-  in
-  let ds =
-    List.init (max 0 spawned) (fun _ ->
-        Domain.spawn (fun () -> worker sh exec))
-  in
-  worker sh exec;
-  List.iter Domain.join ds
-
-let run ?(describe = fun _ _ -> "") ~domains ~tasks f =
-  let sh = shared_of_tasks tasks in
-  let exec i t =
-    match f t with
-    | () -> ()
-    | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        poison sh (failure_of ~describe ~attempts:1 ~prior:[] i t exn bt)
-  in
-  drive sh ~domains ~tasks exec;
-  match sh.poisoned with Some fl -> raise (Task_failed fl) | None -> ()
-
-let run_contained ?(describe = fun _ _ -> "") ~domains ~tasks f =
-  let sh = shared_of_tasks tasks in
-  let failures_mutex = Mutex.create () in
-  let failures = ref [] in
-  let exec i t =
-    match f t with
-    | () -> ()
-    | exception first -> (
-        (* Retry once, inline on the same worker: a transient failure
-           (e.g. a raced resource) heals silently; a deterministic one
-           fails again immediately and is quarantined. The first
-           attempt's message is kept so a post-mortem can distinguish
-           transient-then-fatal from deterministic double failures. *)
-        let first_msg = Printexc.to_string first in
-        match f t with
-        | () -> ()
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            let fl =
-              failure_of ~describe ~attempts:2 ~prior:[ first_msg ] i t exn bt
-            in
-            Mutex.lock failures_mutex;
-            failures := fl :: !failures;
-            Mutex.unlock failures_mutex)
-  in
-  drive sh ~domains ~tasks exec;
-  List.sort (fun a b -> Int.compare a.index b.index) !failures
 
 (* ------------------------------------------------------------------ *)
 (* Work-stealing scheduler                                             *)
@@ -198,7 +75,7 @@ let jitter ~seed ~index ~attempt =
   0.5 +. (float_of_int u /. 1024.0)
 
 let run_stealing ?(describe = fun _ _ -> "") ?(seed = 0) ?(retries = 1)
-    ?(backoff_s = (0.001, 0.05)) ?deadline ?(steal = true)
+    ?(backoff_s = (0.001, 0.05)) ?deadline
     ?(fatal = fun _ -> false) ~domains ~tasks f =
   let n = Array.length tasks in
   let workers = max 1 (min (max 1 domains) (max 1 n)) in
@@ -271,7 +148,7 @@ let run_stealing ?(describe = fun _ _ -> "") ?(seed = 0) ?(retries = 1)
         | Some i ->
             exec w i;
             own ()
-        | None -> if steal then rob 1 else ()
+        | None -> rob 1
     and rob k =
       (* Victim scan in a fixed ring order from the thief: deterministic
          given the interleaving, and no two thieves share a preferred

@@ -9,7 +9,6 @@ type config = {
   deadline_s : float option;
   retries : int;
   strict : bool;
-  steal : bool;
   kill_after_verdicts : (int * bool) option;
 }
 
@@ -25,7 +24,6 @@ let default =
     deadline_s = None;
     retries = 1;
     strict = false;
-    steal = true;
     kill_after_verdicts = None;
   }
 
@@ -231,56 +229,50 @@ let run ?(config = default) grid =
   in
   Fun.protect ~finally:(fun () -> Option.iter Journal.close writer)
   @@ fun () ->
-  let steal_report, quarantined =
-    if config.strict then begin
-      Pool.run ~describe ~domains:config.domains ~tasks:pending exec;
-      ({ Pool.steals = 0; retried = 0 }, [])
-    end
-    else
-      let report, failures =
-        Pool.run_stealing ~describe ~seed:config.base_seed
-          ~retries:config.retries
-          ?deadline:
-            (Option.map (fun limit -> (limit, on_overdue)) config.deadline_s)
-          ~steal:config.steal
-          ~fatal:(function Journal.Killed _ -> true | _ -> false)
-          ~domains:config.domains ~tasks:pending
-          (fun _pos i -> exec i)
-      in
-      (* Quarantine at scenario granularity: the failing scenario gets a
-         deterministic crash-record verdict; every other scenario is
-         unaffected. Quarantined verdicts are deliberately NOT journaled
-         — a resumed run gets a fresh chance at them. *)
-      let quarantined =
-        List.map
-          (fun (fl : Pool.failure) ->
-            let i = pending.(fl.Pool.index) in
-            let s = scenarios.(i) in
-            let id = Scenario.id s in
-            let message =
-              match fl.Pool.prior_messages with
-              | [] -> fl.Pool.message
-              | prior -> String.concat "; then " (prior @ [ fl.Pool.message ])
-            in
-            (if slots.(i) = None then
-               let seed = Scenario.scenario_seed ~base:config.base_seed s in
-               let verdict =
-                 Scenario.crashed_verdict ~index:i ~id
-                   ~repro:(Scenario.repro_command s ~seed) ~message
-               in
-               slots.(i) <-
-                 Some
-                   {
-                     Journal.index = i;
-                     wall_s = 0.0;
-                     algo = Scenario.algo_name s.Scenario.algo;
-                     counters = [];
-                     verdict;
-                   });
-            { Artifact.index = i; id; message })
-          failures
-      in
-      (report, quarantined)
+  let steal_report, failures =
+    (* Strict mode is the same scheduler with no retries and every
+       exception fatal: the first crashed or timed-out scenario aborts
+       the pool with [exec]'s [Failure] naming the scenario id. *)
+    Pool.run_stealing ~describe ~seed:config.base_seed
+      ~retries:(if config.strict then 0 else config.retries)
+      ?deadline:
+        (Option.map (fun limit -> (limit, on_overdue)) config.deadline_s)
+      ~fatal:(function Journal.Killed _ -> true | _ -> config.strict)
+      ~domains:config.domains ~tasks:pending
+      (fun _pos i -> exec i)
+  in
+  (* Quarantine at scenario granularity: the failing scenario gets a
+     deterministic crash-record verdict; every other scenario is
+     unaffected. Quarantined verdicts are deliberately NOT journaled
+     — a resumed run gets a fresh chance at them. *)
+  let quarantined =
+    List.map
+      (fun (fl : Pool.failure) ->
+        let i = pending.(fl.Pool.index) in
+        let s = scenarios.(i) in
+        let id = Scenario.id s in
+        let message =
+          match fl.Pool.prior_messages with
+          | [] -> fl.Pool.message
+          | prior -> String.concat "; then " (prior @ [ fl.Pool.message ])
+        in
+        (if slots.(i) = None then
+           let seed = Scenario.scenario_seed ~base:config.base_seed s in
+           let verdict =
+             Scenario.crashed_verdict ~index:i ~id
+               ~repro:(Scenario.repro_command s ~seed) ~message
+           in
+           slots.(i) <-
+             Some
+               {
+                 Journal.index = i;
+                 wall_s = 0.0;
+                 algo = Scenario.algo_name s.Scenario.algo;
+                 counters = [];
+                 verdict;
+               });
+        { Artifact.index = i; id; message })
+      failures
   in
   if Array.exists (( = ) None) slots then
     Partial { completed = !done_count; total; recovery }

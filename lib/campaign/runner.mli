@@ -57,11 +57,8 @@ type config = {
           the infrastructure level is quarantined, and the campaign runs
           to [Complete]. [true]: fail fast — the first crashed or
           timed-out scenario (or infrastructure failure) aborts the pool
-          with {!Pool.Task_failed}, whose message names the scenario. *)
-  steal : bool;
-      (** [true] (default): work-stealing scheduling. [false]: static
-          contiguous per-worker blocks — the measurable baseline the E17
-          straggler study compares against. *)
+          and is re-raised; a crash or timeout surfaces as a [Failure]
+          whose message names the scenario id. *)
   kill_after_verdicts : (int * bool) option;
       (** crash-injection hook for the kill-point fuzzer: [(k, torn)]
           raises {!Journal.Killed} at the [k]-th journal append of this
@@ -72,7 +69,7 @@ type config = {
 val default : config
 (** [domains = 1], [base_seed = 0], no journal, no cache, no stop, no
     progress callback, no round budget, no deadline, [retries = 1], not
-    strict, stealing on, no kill point. *)
+    strict, no kill point. *)
 
 type outcome =
   | Complete of Artifact.t
@@ -98,8 +95,9 @@ val run : ?config:config -> Grid.t -> outcome
     run retries them.
 
     Raises {!Journal.Killed} when [kill_after_verdicts] fires — the
-    simulated crash the fuzzer resumes from — and {!Pool.Task_failed} in
-    strict mode. *)
+    simulated crash the fuzzer resumes from — and, in strict mode, the
+    first scenario failure ([Failure] naming the scenario id for a crash
+    or timeout). *)
 
 val run_exn : ?config:config -> Grid.t -> Artifact.t
 (** {!run}, raising [Failure] on [Partial] — for callers that set no

@@ -36,13 +36,12 @@
    internals) are dropped — the analysis under-approximates through
    higher-order flow and says so in its rule descriptions.
 
-   The walk is split into two layers so the incremental cache can store
-   its result: {!summarize} reduces one compilation unit to a
-   {!summary} — plain serialisable data, no typedtree inside — and
-   {!assemble} folds summaries into the whole-program graph. A summary
-   depends only on the unit's own annotations plus the set of unit
-   names (for path canonicalisation), which is exactly the invalidation
-   key the cache uses. *)
+   The walk is split into two layers so the deep pass can load one unit
+   at a time: {!summarize} reduces one compilation unit to a
+   {!summary} — plain data, no typedtree inside — and {!assemble}
+   folds summaries into the whole-program graph. A summary depends only
+   on the unit's own annotations plus the set of unit names (for path
+   canonicalisation). *)
 
 type access_kind =
   | Plain  (* a resolved reference we cannot classify further *)
@@ -897,12 +896,6 @@ let assemble (summaries : summary list) =
     functor_arg_units;
     exports = List.rev !exports;
   }
-
-let build (units : Cmt_load.unit_info list) =
-  let unit_names =
-    unit_names_of (List.map (fun (u : Cmt_load.unit_info) -> u.unit_name) units)
-  in
-  assemble (List.map (summarize ~unit_names) units)
 
 (* ------------------------------------------------------------------ *)
 (* Reachability                                                        *)

@@ -15,10 +15,10 @@
     The one-level closure-escape list ({!field:def.arrow_arg_calls})
     lets the E2/E3 passes stay honest about higher-order flow.
 
-    The walk has two layers so results can be cached per unit:
-    {!summarize} reduces one compilation unit to a serialisable
-    {!summary} (no typedtree inside), {!assemble} folds summaries into
-    the graph, and {!build} is the compose of the two. *)
+    The walk has two layers so units can be loaded one at a time:
+    {!summarize} reduces one compilation unit to a {!summary} (no
+    typedtree inside), and {!assemble} folds summaries into the
+    graph. *)
 
 type access_kind =
   | Plain  (** a resolved reference we cannot classify further *)
@@ -111,12 +111,10 @@ val unit_names_of : string list -> (string, unit) Hashtbl.t
 
 val summarize :
   unit_names:(string, unit) Hashtbl.t -> Cmt_load.unit_info -> summary
-(** Reduce one unit's typedtree to serialisable data. Depends only on
-    the unit's own annotations and [unit_names] — the cache key. *)
+(** Reduce one unit's typedtree to plain data. Depends only on the
+    unit's own annotations and [unit_names]. *)
 
 val assemble : summary list -> t
-val build : Cmt_load.unit_info list -> t
-(** [build us = assemble (List.map (summarize ~unit_names) us)]. *)
 
 val find : t -> string -> def option
 val defs_in_order : t -> def list

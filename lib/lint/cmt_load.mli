@@ -18,19 +18,9 @@ type unit_info = {
   signature : Typedtree.signature option;  (** from the [.cmti] *)
 }
 
-val load :
-  ?skip_components:string list -> string list -> unit_info list * string list
-(** [load dirs] recursively scans [dirs] for [.cmt]/[.cmti] files and
-    returns the loaded units sorted by unit name, plus the load errors
-    (unreadable directory, corrupt annotation file). Dune's generated
-    library-alias units ([.ml-gen] sources) are dropped, as is any unit
-    whose source path contains a component of [skip_components]. *)
-
 val discover : string list -> string list * string list
 (** The walk alone: sorted [.cmt]/[.cmti] paths under the given
-    directories plus directory errors, nothing deserialised — the
-    incremental cache digests files at this stage and only loads the
-    groups it cannot serve from the store. *)
+    directories plus directory errors, nothing deserialised. *)
 
 val predicted_unit_name : string -> string
 (** Unit name recovered from an annotation file path (dune lowercases
@@ -44,4 +34,4 @@ val load_paths : string list -> unit_info list * string list
 
 val source_skipped : skip_components:string list -> string -> bool
 (** Does this source path contain a skipped component? Exposed so the
-    deep orchestrator can apply the filter to cached summaries. *)
+    deep orchestrator can apply the filter to unit summaries. *)

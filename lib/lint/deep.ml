@@ -1,18 +1,14 @@
-(* The --deep pass: load typed ASTs (through the incremental summary
-   cache when one is configured), build the call graph, run the
+(* The --deep pass: load typed ASTs, build the call graph, run the
    whole-program rules, apply inline suppressions.
 
-   Loading is organised around the cache even when none is given:
-   annotation files are discovered and grouped by compilation unit
+   Annotation files are discovered and grouped by compilation unit
    (dune's file naming makes the unit name recoverable from the path,
-   so grouping costs no deserialisation), and each group independently
-   becomes a {!Callgraph.summary} — from the cache on digest match,
-   from [Cmt_format.read_cmt] plus a walk otherwise. Groups that fail
-   to load are never cached, so a corrupt annotation file re-surfaces
-   its error on every run. The [skip_components] filter applies to the
-   assembled summaries (fixture trees are deliberately bad code), but
-   skipped units still count toward the closure key: their presence
-   can affect reference canonicalisation.
+   so grouping costs no deserialisation), and each group is loaded and
+   reduced to a {!Callgraph.summary} on its own, so only one unit's
+   typed AST is live at a time. The [skip_components] filter applies to
+   the summaries (fixture trees are deliberately bad code), but skipped
+   units still count toward the unit-name set: their presence can
+   affect reference canonicalisation.
 
    Two suppression moments, deliberately distinct:
 
@@ -33,11 +29,9 @@ type result = {
   suppressed : Rules.finding list;
   errors : string list;  (* cmt load failures: exit-code-2 material *)
   units : int;
-  cache_hits : int;
-  cache_misses : int;
 }
 
-let summaries ?cache ~build_dirs () =
+let summaries ~build_dirs =
   let files, walk_errors = Cmt_load.discover build_dirs in
   let groups : (string, string list) Hashtbl.t = Hashtbl.create 64 in
   let names = ref [] in
@@ -52,49 +46,28 @@ let summaries ?cache ~build_dirs () =
     files;
   let names = List.sort String.compare !names in
   let unit_names = Callgraph.unit_names_of names in
-  let names_digest = Inc_cache.names_digest names in
   let errors = ref walk_errors in
   let summaries =
     List.filter_map
       (fun name ->
-        let paths = Hashtbl.find groups name in
-        let cached =
-          match cache with
-          | None -> None
-          | Some c ->
-              Inc_cache.find c ~key:(Inc_cache.key ~unit_name:name ~paths ~names_digest)
-        in
-        match cached with
-        | Some payload -> payload
+        let units, errs = Cmt_load.load_paths (Hashtbl.find groups name) in
+        errors := !errors @ errs;
+        match
+          List.find_opt
+            (fun (u : Cmt_load.unit_info) -> u.unit_name = name)
+            units
+        with
+        | Some u -> Some (Callgraph.summarize ~unit_names u)
         | None -> (
-            let units, errs = Cmt_load.load_paths paths in
-            errors := !errors @ errs;
-            let payload =
-              match
-                List.find_opt
-                  (fun (u : Cmt_load.unit_info) -> u.unit_name = name)
-                  units
-              with
-              | Some u -> Some (Callgraph.summarize ~unit_names u)
-              | None -> (
-                  match units with
-                  | u :: _ -> Some (Callgraph.summarize ~unit_names u)
-                  | [] -> None)
-            in
-            (match cache with
-            | Some c when errs = [] ->
-                Inc_cache.store c
-                  ~key:(Inc_cache.key ~unit_name:name ~paths ~names_digest)
-                  payload
-            | _ -> ());
-            payload))
+            match units with
+            | u :: _ -> Some (Callgraph.summarize ~unit_names u)
+            | [] -> None))
       names
   in
   (summaries, !errors)
 
-let run ?(skip_components = []) ?cache_dir ~build_dirs ~source_root () =
-  let cache = Option.map (fun dir -> Inc_cache.create ~dir) cache_dir in
-  let summaries, errors = summaries ?cache ~build_dirs () in
+let run ?(skip_components = []) ~build_dirs ~source_root () =
+  let summaries, errors = summaries ~build_dirs in
   let summaries =
     List.filter
       (fun (s : Callgraph.summary) ->
@@ -138,7 +111,4 @@ let run ?(skip_components = []) ?cache_dir ~build_dirs ~source_root () =
     suppressed = List.sort Rules.compare_finding suppressed;
     errors;
     units = List.length summaries;
-    cache_hits = (match cache with Some c -> Inc_cache.hits c | None -> 0);
-    cache_misses =
-      (match cache with Some c -> Inc_cache.misses c | None -> 0);
   }

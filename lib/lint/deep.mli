@@ -13,14 +13,11 @@ type result = {
   errors : string list;
       (** annotation files that failed to load — the driver maps these
           onto exit code 2, same as shallow parse errors *)
-  units : int;  (** compilation units analyzed (cached + walked) *)
-  cache_hits : int;  (** summary-cache hits; 0 without [cache_dir] *)
-  cache_misses : int;
+  units : int;  (** compilation units analyzed *)
 }
 
 val run :
   ?skip_components:string list ->
-  ?cache_dir:string ->
   build_dirs:string list ->
   source_root:string ->
   unit ->
@@ -30,7 +27,4 @@ val run :
     source path contains a component of [skip_components], and prefixes
     finding paths with nothing — they stay build-root-relative, which
     matches the shallow walk's paths when linting from the repo root.
-    [source_root] locates the sources for the inline-directive scan.
-    [cache_dir], when given, holds the per-unit summary cache
-    ({!Inc_cache}): warm runs re-walk only changed units and must
-    produce byte-identical findings. *)
+    [source_root] locates the sources for the inline-directive scan. *)

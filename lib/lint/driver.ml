@@ -41,8 +41,6 @@ let walk roots =
   let files, errs = List.fold_left one ([], []) roots in
   (List.sort String.compare files, List.rev errs)
 
-type deep_stats = { units : int; cache_hits : int; cache_misses : int }
-
 type outcome = {
   files : int;
   actionable : Rules.finding list;
@@ -50,7 +48,7 @@ type outcome = {
   baselined : Rules.finding list;
   stale : (string * string * int) list;
   errors : string list;
-  deep : deep_stats option;  (* present when the deep pass ran *)
+  deep_units : int option;  (* present when the deep pass ran *)
 }
 
 let lint_file path =
@@ -86,7 +84,7 @@ let under_roots roots (f : Rules.finding) =
 
 let analyze ?(baseline = Baseline.empty) ?(deep = false)
     ?(deep_build_dirs = [ "_build/default" ]) ?(deep_source_root = ".")
-    ?deep_cache ~roots () =
+    ~roots () =
   let files, errors = walk roots in
   let kept, suppressed, errors =
     List.fold_left
@@ -95,24 +93,19 @@ let analyze ?(baseline = Baseline.empty) ?(deep = false)
         (k @ kept, s @ sup, match err with Some m -> m :: errs | None -> errs))
       ([], [], errors) files
   in
-  let kept, suppressed, errors, deep_stats =
+  let kept, suppressed, errors, deep_units =
     if not deep then (kept, suppressed, errors, None)
     else begin
       let r =
         Deep.run
           ~skip_components:[ "lint_fixtures"; "deep_fixtures" ]
-          ?cache_dir:deep_cache ~build_dirs:deep_build_dirs
+          ~build_dirs:deep_build_dirs
           ~source_root:deep_source_root ()
       in
       ( List.filter (under_roots roots) r.Deep.kept @ kept,
         List.filter (under_roots roots) r.Deep.suppressed @ suppressed,
         errors @ r.Deep.errors,
-        Some
-          {
-            units = r.Deep.units;
-            cache_hits = r.Deep.cache_hits;
-            cache_misses = r.Deep.cache_misses;
-          } )
+        Some r.Deep.units )
     end
   in
   let kept = List.sort Rules.compare_finding kept in
@@ -124,7 +117,7 @@ let analyze ?(baseline = Baseline.empty) ?(deep = false)
     baselined;
     stale;
     errors;
-    deep = deep_stats;
+    deep_units;
   }
 
 let has_parse_error o =
@@ -202,20 +195,16 @@ let render_json fmt o =
     Printf.sprintf "{\"rule\":\"%s\",\"file\":\"%s\",\"unmatched\":%d}" rid
       (json_escape file) n
   in
-  (* lbclint/3: adds the "deep" stats object (null when the deep pass
-     did not run). /2 documents are no longer emitted; consumers that
-     pinned "lbclint/2" must update — the change is additive apart from
-     the format tag. *)
+  (* lbclint/4: the "deep" stats object is {"units":N} (null when the
+     deep pass did not run); lbclint/3's cache_hits/cache_misses keys
+     are gone, hence the new tag. *)
   let deep_json =
-    match o.deep with
+    match o.deep_units with
     | None -> "null"
-    | Some d ->
-        Printf.sprintf
-          "{\"units\":%d,\"cache_hits\":%d,\"cache_misses\":%d}" d.units
-          d.cache_hits d.cache_misses
+    | Some units -> Printf.sprintf "{\"units\":%d}" units
   in
   Format.fprintf fmt
-    "{\"format\":\"lbclint/3\",\"files\":%d,\"findings\":[%s],\"suppressed\":%d,\"baselined\":%d,\"stale\":[%s],\"errors\":[%s],\"deep\":%s,\"exit\":%d}@."
+    "{\"format\":\"lbclint/4\",\"files\":%d,\"findings\":[%s],\"suppressed\":%d,\"baselined\":%d,\"stale\":[%s],\"errors\":[%s],\"deep\":%s,\"exit\":%d}@."
     o.files
     (String.concat "," (List.map finding_json o.actionable))
     (List.length o.suppressed) (List.length o.baselined)
@@ -236,7 +225,6 @@ type config = {
   json : bool;
   deep : bool;
   sarif : string option;
-  deep_cache : string option;
 }
 
 let emit_sarif config o =
@@ -266,7 +254,7 @@ let main ?(fmt = Format.std_formatter) config =
       end
       else if config.write_baseline then begin
         let o =
-          analyze ~deep:config.deep ?deep_cache:config.deep_cache ~roots ()
+          analyze ~deep:config.deep ~roots ()
         in
         let entries, rejected = Baseline.of_findings o.actionable in
         match config.baseline with
@@ -298,7 +286,7 @@ let main ?(fmt = Format.std_formatter) config =
                Entries are never added: growing the debt stays a
                deliberate --write-baseline act. *)
             let raw =
-              analyze ~deep:config.deep ?deep_cache:config.deep_cache ~roots ()
+              analyze ~deep:config.deep ~roots ()
             in
             let updated, dropped = Baseline.update baseline raw.actionable in
             Baseline.save ~path updated;
@@ -323,7 +311,7 @@ let main ?(fmt = Format.std_formatter) config =
       end
       else begin
         let o =
-          analyze ~baseline ~deep:config.deep ?deep_cache:config.deep_cache
+          analyze ~baseline ~deep:config.deep
             ~roots ()
         in
         emit_sarif config o;

@@ -8,8 +8,6 @@
 val default_roots : string list
 (** [lib; bin; bench; test; examples] *)
 
-type deep_stats = { units : int; cache_hits : int; cache_misses : int }
-
 type outcome = {
   files : int;  (** number of files linted by the shallow pass *)
   actionable : Rules.finding list;
@@ -20,7 +18,9 @@ type outcome = {
   stale : (string * string * int) list;
       (** baseline entries with unmatched count: (rule id, file, n) *)
   errors : string list;  (** unreadable roots/files, cmt load failures *)
-  deep : deep_stats option;  (** present when the deep pass ran *)
+  deep_units : int option;
+      (** compilation units the deep pass analyzed; [None] when it did
+          not run *)
 }
 
 val analyze :
@@ -28,7 +28,6 @@ val analyze :
   ?deep:bool ->
   ?deep_build_dirs:string list ->
   ?deep_source_root:string ->
-  ?deep_cache:string ->
   roots:string list ->
   unit ->
   outcome
@@ -43,17 +42,17 @@ val analyze :
     its findings are filtered to [roots] and merged before the baseline
     is applied. An empty [roots] list walks nothing and filters nothing
     — the deep fixture tests' hook. [deep_source_root] (default ["."])
-    locates sources for the inline-directive scan. [deep_cache] names
-    the incremental summary-cache directory ({!Inc_cache}). *)
+    locates sources for the inline-directive scan. *)
 
 val exit_code : outcome -> int
 
 val render_human : Format.formatter -> outcome -> unit
 
 val render_json : Format.formatter -> outcome -> unit
-(** Format ["lbclint/3"]: lbclint/2 plus a ["deep"] stats object
-    ([units]/[cache_hits]/[cache_misses], [null] when the deep pass did
-    not run). /2 documents are no longer emitted. *)
+(** Format ["lbclint/4"]: a ["deep"] stats object [{"units":N}]
+    ([null] when the deep pass did not run). lbclint/3's
+    [cache_hits]/[cache_misses] keys are gone; /3 documents are no
+    longer emitted. *)
 
 type config = {
   roots : string list;  (** empty means [default_roots] *)
@@ -65,7 +64,6 @@ type config = {
   json : bool;
   deep : bool;  (** also run the whole-program E1-E4/M1/X1 pass *)
   sarif : string option;  (** also write SARIF 2.1.0 to this path *)
-  deep_cache : string option;  (** incremental summary-cache directory *)
 }
 
 val main : ?fmt:Format.formatter -> config -> int

@@ -7,10 +7,10 @@
    every caller.
 
    Sinks: the definitions whose output the repo treats as ground truth —
-   everything in the campaign's verdict/serialization units
-   (Scenario, Artifact, Stats, Checkpoint) plus any definition whose
-   name mentions "fingerprint". Only lib-scope sinks fire: an
-   executable printing the wall clock in its banner is not a finding.
+   everything in the campaign's verdict/serialization units (Scenario,
+   Artifact, Stats) plus any definition whose name mentions
+   "fingerprint". Only lib-scope sinks fire: an executable printing the
+   wall clock in its banner is not a finding.
 
    A finding names the sink and the full call chain down to the
    primitive, so the fix (thread a clock/RNG handle, sort the fold) can
@@ -21,7 +21,6 @@ let sink_units =
     "Lbc_campaign__Scenario";
     "Lbc_campaign__Artifact";
     "Lbc_campaign__Stats";
-    "Lbc_campaign__Checkpoint";
   ]
 
 let is_sink (d : Callgraph.def) =

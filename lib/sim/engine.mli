@@ -95,12 +95,12 @@ val run :
     [topology.n].
 
     When a {!Perturb} context is installed in the current domain
-    ({!Perturb.with_chaos}), delivery runs through the perturbation
-    oracle instead of the perfect-synchrony path: per-(round, sender,
+    ({!Perturb.with_chaos}), every copy passes through the perturbation
+    oracle on its way to the receiver's inbox: per-(round, sender,
     receiver) drop / duplication / bounded delay, and honest
     crash-restart windows (a down node is not stepped, loses its inbox
     and emits nothing; its closure state survives the restart). A
-    zero-rate context reproduces the plain path bit-for-bit — same
+    zero-rate context reproduces the unperturbed run bit-for-bit — same
     outputs, stats, transcript and observability counters. Perturbed
     runs additionally tally [perturb.dropped] / [perturb.duplicated] /
     [perturb.delayed] / [perturb.expired] / [perturb.crashes] /
@@ -109,7 +109,7 @@ val run :
     When a {!Lbc_net.Net} context is installed ({!Lbc_net.Net.with_net}),
     every delivery is additionally assigned a sampled link latency and
     each round's duration (its slowest completion) advances the
-    simulated clock — orthogonally to chaos, on both code paths. An
+    simulated clock — orthogonally to chaos. An
     ideal (all-zero) profile records nothing and is observationally
     identical to running without the layer; non-ideal profiles record
     the [net.link_ns] / [net.round_ns] histograms. A perturb-delayed

@@ -213,91 +213,28 @@ let test_fingerprint_order_sensitive () =
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_pool_executes_all () =
-  List.iter
-    (fun domains ->
-      let n = 53 in
-      let hits = Array.make n 0 in
-      let m = Mutex.create () in
-      C.Pool.run ~domains
-        ~tasks:(Array.init n (fun i -> i))
-        (fun i ->
-          Mutex.lock m;
-          hits.(i) <- hits.(i) + 1;
-          Mutex.unlock m);
-      check
-        (Printf.sprintf "every task ran exactly once (domains=%d)" domains)
-        true
-        (Array.for_all (( = ) 1) hits))
-    [ 1; 2; 4 ]
-
-(* Regression: the pool used to re-raise the bare scenario exception,
-   losing which task crashed. [Task_failed] now carries the task index,
-   the caller's description and the original message. *)
-let test_pool_propagates_exception () =
-  List.iter
-    (fun domains ->
-      match
-        C.Pool.run ~domains
-          ~describe:(fun i _ -> Printf.sprintf "task-%d" i)
-          ~tasks:(Array.init 20 (fun i -> i))
-          (fun i -> if i = 7 then failwith "boom")
-      with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception C.Pool.Task_failed fl ->
-          check_int
-            (Printf.sprintf "failing task identified (domains=%d)" domains)
-            7 fl.C.Pool.index;
-          check_str "description carried" "task-7" fl.C.Pool.description;
-          check "original message carried" true
-            (fl.C.Pool.message = "Failure(\"boom\")");
-          check_int "single attempt" 1 fl.C.Pool.attempts)
-    (* domains=1 exercises the former fast path, which used to bypass
-       exception capture entirely; it must behave like the worker path. *)
-    [ 1; 3 ]
-
-let test_pool_contained_quarantines_after_retry () =
-  let attempts = Atomic.make 0 in
-  let ran = Array.make 10 false in
-  let failures =
-    C.Pool.run_contained ~domains:2
-      ~describe:(fun i _ -> Printf.sprintf "task-%d" i)
-      ~tasks:(Array.init 10 (fun i -> i))
-      (fun i ->
-        if i = 3 then begin
-          Atomic.incr attempts;
-          failwith "deterministic"
-        end
-        else ran.(i) <- true)
-  in
-  (match failures with
-  | [ fl ] ->
-      check_int "failed task index" 3 fl.C.Pool.index;
-      check_int "retried once" 2 fl.C.Pool.attempts;
-      check_str "description names the task" "task-3" fl.C.Pool.description
-  | fls -> Alcotest.failf "expected 1 failure, got %d" (List.length fls));
-  check_int "both attempts executed" 2 (Atomic.get attempts);
-  check "all other tasks completed" true
-    (Array.for_all Fun.id (Array.init 10 (fun i -> i = 3 || ran.(i))))
-
-let test_pool_contained_retry_heals_transient () =
+(* A transient failure heals on retry: the QCheck property below only
+   injects deterministic failures, so this is the one check of a task
+   that fails once and then succeeds. *)
+let test_pool_retry_heals_transient () =
   let first = Atomic.make true in
-  let failures =
-    C.Pool.run_contained ~domains:1
+  let report, failures =
+    C.Pool.run_stealing ~backoff_s:(0.0001, 0.001) ~domains:1
       ~tasks:(Array.init 5 (fun i -> i))
-      (fun i ->
+      (fun _pos i ->
         if i = 2 && Atomic.exchange first false then failwith "transient")
   in
-  check_int "transient failure healed silently" 0 (List.length failures)
+  check_int "transient failure healed silently" 0 (List.length failures);
+  check_int "one retry" 1 report.C.Pool.retried
 
 (* Satellite regression: a quarantine after a transient-then-different
    failure must surface both attempts' messages, not just the last. *)
-let test_pool_contained_records_prior_messages () =
+let test_pool_records_prior_messages () =
   let first = Atomic.make true in
-  let failures =
-    C.Pool.run_contained ~domains:1
+  let _report, failures =
+    C.Pool.run_stealing ~backoff_s:(0.0001, 0.001) ~domains:1
       ~tasks:(Array.init 4 (fun i -> i))
-      (fun i ->
+      (fun _pos i ->
         if i = 1 then
           if Atomic.exchange first false then failwith "transient I/O"
           else failwith "persistent")
@@ -312,24 +249,22 @@ let test_pool_contained_records_prior_messages () =
 
 let test_stealing_executes_all () =
   List.iter
-    (fun (domains, steal) ->
+    (fun domains ->
       let n = 47 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      let report, failures =
-        C.Pool.run_stealing ~steal ~domains
+      let _report, failures =
+        C.Pool.run_stealing ~domains
           ~tasks:(Array.init n (fun i -> i))
           (fun pos i ->
             check_int "position matches task" i pos;
             Atomic.incr hits.(i))
       in
       check
-        (Printf.sprintf "exactly once (domains=%d steal=%b)" domains steal)
+        (Printf.sprintf "exactly once (domains=%d)" domains)
         true
         (Array.for_all (fun h -> Atomic.get h = 1) hits);
-      check_int "no failures" 0 (List.length failures);
-      if not steal then
-        check_int "contiguous baseline never steals" 0 report.C.Pool.steals)
-    [ (1, true); (4, true); (1, false); (4, false) ]
+      check_int "no failures" 0 (List.length failures))
+    [ 1; 4 ]
 
 (* Satellite property: the stealing pool under contention — random task
    counts, domain counts, deterministic failure sets and an optional
@@ -381,51 +316,13 @@ let prop_stealing_poison_and_exactly_once =
                (List.init n Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy Checkpoint: load report                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The shard-granular Checkpoint format is superseded by Journal but
-   still readable; its load report must name the first corrupt line. *)
-let test_checkpoint_load_names_corrupt_line () =
-  let path = Filename.temp_file "lbc-legacy" ".progress" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let header =
-        {
-          C.Checkpoint.campaign = "legacy";
-          count = 8;
-          shard_size = 4;
-          base_seed = 0;
-          fingerprint = "f00";
-        }
-      in
-      C.Checkpoint.start ~path ~header;
-      C.Checkpoint.append ~path
-        {
-          C.Checkpoint.shard = 0;
-          wall_s = 0.5;
-          verdicts = [||];
-          stats = C.Stats.empty;
-        };
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{\"shard\":1,\"trunc";
-      close_out oc;
-      let entries, report = C.Checkpoint.load ~path ~header in
-      check_int "intact entry loaded" 1 (List.length entries);
-      check_int "one line dropped" 1 report.C.Checkpoint.dropped;
-      (* header is line 1, the intact shard line 2, the damage line 3 *)
-      check "first corrupt line named" true
-        (report.C.Checkpoint.first_corrupt_line = Some 3))
-
-(* ------------------------------------------------------------------ *)
 (* Runner: determinism, artifacts, journal/resume                      *)
 (* ------------------------------------------------------------------ *)
 
 let small_grid () = grid_of_ints (5, 7, 3)
 
 let config ?(domains = 1) ?journal ?cache ?stop_after ?max_rounds
-    ?(strict = false) ?(steal = true) ?kill () =
+    ?(strict = false) ?kill () =
   {
     C.Runner.default with
     C.Runner.domains;
@@ -434,7 +331,6 @@ let config ?(domains = 1) ?journal ?cache ?stop_after ?max_rounds
     stop_after;
     max_rounds;
     strict;
-    steal;
     kill_after_verdicts = kill;
   }
 
@@ -576,6 +472,48 @@ let test_corrupt_journal_tail_truncated () =
             (C.Artifact.deterministic_string baseline)
             (C.Artifact.deterministic_string a))
 
+(* The shard-granular progress format (header line + one JSON line per
+   shard) is no longer read. A file in that format left at the journal
+   path — even one naming this very grid — is a stale journal: it is
+   discarded whole, nothing from it is adopted, and the campaign runs as
+   if from scratch. *)
+let test_legacy_progress_file_discarded () =
+  let path = Filename.temp_file "lbc-legacy" ".progress" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let grid = small_grid () in
+      let fingerprint = Grid.fingerprint (Grid.to_array grid) in
+      let oc = open_out_bin path in
+      Printf.fprintf oc
+        "{\"format\":\"lbc-campaign-progress/3\",\"campaign\":%S,\"count\":%d,\
+         \"shard_size\":4,\"base_seed\":0,\"fingerprint\":%S}\n\
+         {\"shard\":0,\"wall_s\":0.5,\"verdicts\":[],\"stats\":{}}\n"
+        grid.Grid.name (Grid.count grid) fingerprint;
+      close_out oc;
+      let header =
+        {
+          C.Journal.campaign = grid.Grid.name;
+          count = Grid.count grid;
+          base_seed = 0;
+          budget = 0;
+          fingerprint;
+        }
+      in
+      let records, rc = C.Journal.read ~path ~header in
+      check_int "no records read from a legacy file" 0 (List.length records);
+      check "legacy file reported stale" true rc.C.Journal.stale;
+      let baseline = C.Runner.run_exn ~config:(config ()) grid in
+      match C.Runner.run ~config:(config ~journal:path ()) grid with
+      | C.Runner.Partial _ -> Alcotest.fail "expected Complete"
+      | C.Runner.Complete a ->
+          check_int "nothing resumed from the legacy file" 0
+            a.C.Artifact.run.C.Artifact.resumed_scenarios;
+          check_str "result matches fresh run"
+            (C.Artifact.deterministic_string baseline)
+            (C.Artifact.deterministic_string a);
+          check "journal removed on completion" false (Sys.file_exists path))
+
 (* A raising progress callback used to leave the sink mutex locked,
    deadlocking every other worker. Now the callback runs outside the
    lock, the failing scenario's first attempt records its result before
@@ -659,7 +597,7 @@ let test_strict_mode_reports_scenario_id () =
   match
     C.Runner.run ~config:(config ~strict:true ()) (mixed_grid ())
   with
-  | exception C.Pool.Task_failed fl ->
+  | exception Failure message ->
       let contains needle hay =
         let nl = String.length needle and hl = String.length hay in
         let rec go i =
@@ -668,10 +606,10 @@ let test_strict_mode_reports_scenario_id () =
         go 0
       in
       check "failure message names the scenario id" true
-        (contains (Scenario.id (raising_scenario ())) fl.C.Pool.message);
-      check "description names the scenario" true
-        (contains "scenario" fl.C.Pool.description)
-  | _ -> Alcotest.fail "strict mode must poison the pool"
+        (contains (Scenario.id (raising_scenario ())) message);
+      check "failure message says it crashed" true
+        (contains "crashed" message)
+  | _ -> Alcotest.fail "strict mode must abort the pool"
 
 let test_max_rounds_times_out () =
   (* A1 on the Petersen graph needs 110 rounds; a 60-round budget must
@@ -963,22 +901,17 @@ let () =
              test_fingerprint_order_sensitive
         :: qt [ prop_sharding_is_partition ] );
       ( "pool",
-        Alcotest.test_case "executes all tasks" `Quick test_pool_executes_all
-        :: Alcotest.test_case "propagates exceptions" `Quick
-             test_pool_propagates_exception
-        :: Alcotest.test_case "quarantine after retry" `Quick
-             test_pool_contained_quarantines_after_retry
-        :: Alcotest.test_case "retry heals transient" `Quick
-             test_pool_contained_retry_heals_transient
+        Alcotest.test_case "retry heals transient" `Quick
+          test_pool_retry_heals_transient
         :: Alcotest.test_case "prior messages recorded" `Quick
-             test_pool_contained_records_prior_messages
+             test_pool_records_prior_messages
         :: Alcotest.test_case "stealing executes all" `Quick
              test_stealing_executes_all
         :: qt [ prop_stealing_poison_and_exactly_once ] );
       ( "checkpoint-legacy",
         [
-          Alcotest.test_case "corrupt line named" `Quick
-            test_checkpoint_load_names_corrupt_line;
+          Alcotest.test_case "progress file discarded" `Quick
+            test_legacy_progress_file_discarded;
         ] );
       ( "runner",
         [

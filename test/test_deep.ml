@@ -155,33 +155,6 @@ let test_e4_cas_clean () =
   check_str "compare_and_set loop is the fix, not a finding" ""
     (summarize (kept_in (fixture_file "e4_cas.ml")))
 
-let test_cache_warm_identical () =
-  (* a fresh cache dir: cold run stores, warm run hits everything and
-     reproduces the exact same findings *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "lbclint-test-cache"
-  in
-  let () =
-    (* scrub leftovers from an earlier test-process run *)
-    if Sys.file_exists dir then
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir)
-  in
-  let run () =
-    Deep.run ~cache_dir:dir ~build_dirs:[ "deep_fixtures" ] ~source_root:".."
-      ()
-  in
-  let cold = run () in
-  let warm = run () in
-  check "cold run misses" true (cold.Deep.cache_misses > 0);
-  check_int "cold run has no hits" 0 cold.Deep.cache_hits;
-  check "warm run hits" true (warm.Deep.cache_hits > 0);
-  check_int "warm run misses nothing" 0 warm.Deep.cache_misses;
-  check "identical kept findings" true (cold.Deep.kept = warm.Deep.kept);
-  check "identical suppressed findings" true
-    (cold.Deep.suppressed = warm.Deep.suppressed);
-  check_int "same unit count" cold.Deep.units warm.Deep.units
-
 let test_m1_fires () =
   check_str "unicast outside sanctioned dirs" "M1:3"
     (summarize (kept_in (fixture_file "m1_unicast.ml")))
@@ -228,7 +201,7 @@ let test_x1_does_not_gate () =
       baselined = [];
       stale = [];
       errors = [];
-      deep = None;
+      deep_units = None;
     }
   in
   check_int "exit 0 on X1-only outcome" 0 (Driver.exit_code x1_only);
@@ -236,6 +209,31 @@ let test_x1_does_not_gate () =
     { x1_only with Driver.actionable = kept_in (fixture_file "m1_unicast.ml") }
   in
   check_int "exit 1 on M1" 1 (Driver.exit_code with_m1)
+
+(* lbclint/4: the deep stats object carries the unit count and nothing
+   else. *)
+let test_json_deep_units () =
+  let o =
+    {
+      Driver.files = 0;
+      actionable = [];
+      suppressed = [];
+      baselined = [];
+      stale = [];
+      errors = [];
+      deep_units = Some (Lazy.force result).Deep.units;
+    }
+  in
+  let buf = Buffer.create 256 in
+  let fmt = Format.formatter_of_buffer buf in
+  Driver.render_json fmt o;
+  Format.pp_print_flush fmt ();
+  let s = Buffer.contents buf in
+  check "format tag" true (contains s "\"format\":\"lbclint/4\"");
+  check "deep block is the unit count alone" true
+    (contains s
+       (Printf.sprintf "\"deep\":{\"units\":%d}"
+          (Lazy.force result).Deep.units))
 
 let test_rule_metadata () =
   check "deep rule set" true
@@ -271,6 +269,7 @@ let () =
           Alcotest.test_case "rule metadata" `Quick test_rule_metadata;
           Alcotest.test_case "severities" `Quick test_deep_severities;
           Alcotest.test_case "X1 is advisory" `Quick test_x1_does_not_gate;
+          Alcotest.test_case "JSON deep block" `Quick test_json_deep_units;
           Alcotest.test_case "deep rules baselinable" `Quick
             test_deep_rules_baselinable;
         ] );
@@ -305,11 +304,6 @@ let () =
           Alcotest.test_case "Atomic get-then-set" `Quick test_e4_get_then_set;
           Alcotest.test_case "compare_and_set negative" `Quick
             test_e4_cas_clean;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "warm run identical to cold" `Quick
-            test_cache_warm_identical;
         ] );
       ( "m1",
         [

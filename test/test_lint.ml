@@ -197,7 +197,6 @@ let test_main_exit_codes () =
         json = false;
         deep = false;
         sarif = None;
-        deep_cache = None;
       }
   in
   check_int "clean tree" 0 (run [ fixture "lib/d2_sorted.ml" ] None);
@@ -223,15 +222,15 @@ let test_json_render () =
   let o = Driver.analyze ~roots:[ fixture "lib/d1_clock.ml" ] () in
   let s = render_to_string o in
   let contains = str_contains s in
-  check "format tag" true (contains "\"format\":\"lbclint/3\"");
+  check "format tag" true (contains "\"format\":\"lbclint/4\"");
   check "rule emitted" true (contains "\"rule\":\"D1\"");
   check "file emitted" true (contains "lint_fixtures/lib/d1_clock.ml");
   check "exit emitted" true (contains "\"exit\":1");
-  (* shallow-only runs carry a null deep block, never the /2 shape *)
+  (* shallow-only runs carry a null deep block *)
   check "deep block present" true (contains "\"deep\":null")
 
 let test_json_stale_entries () =
-  (* an unmatched baseline entry surfaces under the lbclint/3 "stale"
+  (* an unmatched baseline entry surfaces under the lbclint/4 "stale"
      key with its rule, file and unmatched count *)
   let baseline = load_fixture_baseline () in
   let o = Driver.analyze ~baseline ~roots:[ fixture "lib/d2_fold.ml" ] () in
@@ -281,7 +280,6 @@ let test_update_baseline_end_to_end () =
       json = false;
       deep = false;
       sarif = None;
-      deep_cache = None;
     }
   in
   let code = Driver.main ~fmt:null_fmt (config (Some path) true false) in

@@ -220,6 +220,65 @@ let prop_zero_rate_identical =
       && plain_r.Obs.counters = chaos_r.Obs.counters
       && plain_r.Obs.stats = chaos_r.Obs.stats)
 
+(* The same equivalence one layer down, on the branches of the single
+   delivery loop that the algorithm-level property never reaches: a
+   faulty node that both broadcasts and unicasts, under Point_to_point
+   and under Hybrid, with the transcript recorded. The whole result —
+   outputs, stats and the transcript in order — and the engine counters
+   must be identical with no chaos context and under a zero-rate one.
+   Honest nodes fold their inbox into an order-sensitive hash, so a
+   reordered arrival would change the outputs. *)
+module E = Lbc_sim.Engine
+
+let mixed_engine_run ~g ~rounds ~salt ~p2p () =
+  let n = Lbc_graph.Graph.size g in
+  let topo = E.topology_of_graph g in
+  let bad = salt mod n in
+  let honest u =
+    let acc = ref u in
+    E.Honest
+      {
+        E.step =
+          (fun ~round ~inbox ->
+            List.iter
+              (fun (s, m) -> acc := ((!acc * 31) + (s * 7) + m) land 0xFFFFFF)
+              inbox;
+            [ !acc + round ]);
+        output = (fun () -> !acc);
+      }
+  in
+  let faulty ~round ~inbox =
+    let heard = List.fold_left (fun a (s, m) -> a + s + m) salt inbox in
+    E.Broadcast (heard + round)
+    :: List.map
+         (fun v -> E.Unicast (v, (heard * (v + 1)) + round))
+         (topo.E.hears bad)
+  in
+  let roles =
+    Array.init n (fun u -> if u = bad then E.Faulty faulty else honest u)
+  in
+  let model =
+    if p2p then E.Point_to_point else E.Hybrid (Nodeset.singleton bad)
+  in
+  Obs.record (fun () -> E.run ~record:true topo ~model ~rounds ~roles)
+
+let prop_engine_zero_rate_transcript =
+  QCheck.Test.make
+    ~name:"zero-rate = no chaos: unicast, transcript"
+    ~count:60
+    QCheck.(
+      quad (int_range 3 8) (int_range 1 6) (int_range 0 1000) (pair bool bool))
+    (fun (n, rounds, salt, (p2p, dense)) ->
+      let g = if dense then B.complete n else B.cycle n in
+      let run = mixed_engine_run ~g ~rounds ~salt ~p2p in
+      let plain, plain_obs = run () in
+      let zero, zero_obs = P.with_chaos P.zero ~seed:salt run in
+      List.exists
+        (function _, _, E.Unicast _ -> true | _, _, E.Broadcast _ -> false)
+        plain.E.transcript
+      && plain = zero
+      && plain_obs.Obs.counters = zero_obs.Obs.counters)
+
 let test_chaos_run_reproducible () =
   let spec = { P.zero with P.drop = 0.2; dup = 0.1; delay = 2; delay_p = 0.3 } in
   let o1, r1 = observed_run ~chaos:(spec, 77) ~algo:`A2 ~n:7 ~seed:0 () in
@@ -275,5 +334,5 @@ let () =
           test_chaos_run_reproducible
         :: Alcotest.test_case "crash-restart" `Quick
              test_crash_restart_honest_only
-        :: qt [ prop_zero_rate_identical ] );
+        :: qt [ prop_zero_rate_identical; prop_engine_zero_rate_transcript ] );
     ]
