@@ -26,8 +26,9 @@
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
-#   - a perf smoke: two identical E5 runs must fingerprint identically
-#     and show packing.cache_hit > 0 (the certificate cache engages),
+#   - a perf smoke: two identical E5 runs (Algorithm 2 on circulants)
+#     must fingerprint identically, and so must a third on 4 domains;
+#     all must show packing.cache_hit > 0 (the certificate cache engages),
 #     and a committed BENCH_10.json must parse as lbc-bench/1 and carry
 #     the campaign and deep-lint counters;
 #   - the deep lint gate runs once, with --sarif, against the empty
@@ -248,22 +249,30 @@ echo "net fingerprint $nfp1 (1 vs 4 domains)"
 echo "== perf smoke: packing certificate cache =="
 # Two identical E5 runs: the per-execution packing cache must actually
 # engage (packing.cache_hit > 0 in the artifact stats) and must not
-# perturb determinism (same fingerprint on both runs).
+# perturb determinism (same fingerprint on both runs). A third run on 4
+# domains must match too: Algorithm 2's per-execution phase-2 context
+# (hash-consed report lists, int claim keys) must not leak across
+# scenarios or domains.
 dune exec bin/lbcast.exe -- campaign --exp e5 --domains 1 \
   --out "$tmp/e5_a.json"
 dune exec bin/lbcast.exe -- campaign --exp e5 --domains 1 \
   --out "$tmp/e5_b.json"
+dune exec bin/lbcast.exe -- campaign --exp e5 --domains 4 \
+  --out "$tmp/e5_d4.json"
 efp1=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/e5_a.json")
 efp2=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/e5_b.json")
+efp4=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/e5_d4.json")
 [ "$efp1" = "$efp2" ] \
   || { echo "FAIL: E5 fingerprint not reproducible"; exit 1; }
+[ "$efp1" = "$efp4" ] \
+  || { echo "FAIL: E5 fingerprint differs on 4 domains"; exit 1; }
 dune exec bin/lbcast.exe -- report --stats "$tmp/e5_a.json" \
   > "$tmp/e5_stats.txt"
 hits=$(awk '/packing\.cache_hit/ { s += $2 } END { print s + 0 }' \
   "$tmp/e5_stats.txt")
 [ "$hits" -gt 0 ] \
   || { echo "FAIL: packing.cache_hit is $hits, cache never engaged"; exit 1; }
-echo "perf smoke OK: fingerprint $efp1, packing.cache_hit $hits"
+echo "perf smoke OK: fingerprint $efp1 (1, 1 and 4 domains), packing.cache_hit $hits"
 
 echo "== bench results artifact =="
 # The committed BENCH_10.json (written by `dune exec bench/main.exe`)

@@ -110,6 +110,130 @@ let heard_from_transcript g ~who transcript =
 (* Phase 2: attribution and fault discovery.                            *)
 (* ------------------------------------------------------------------ *)
 
+module Path_intern = Lbc_flood.Path_intern
+
+(* Claims as int keys. A report (z, m) is encoded against the
+   execution's path table as the tamper key [2 * (path_id * n + z) + bit];
+   the omission key [path_id * n + z] is present iff either of its two
+   tamper keys is. A claim set is a bitset over tamper keys. Reports the
+   encoding cannot express (a node id outside the graph: a Byzantine
+   transmitter controls its path annotation, and honest nodes log what
+   they hear) are kept aside in [odd] and compared structurally; no
+   encodable probe can equal them, so membership stays exact for every
+   probe. *)
+type claims = { bits : Bytes.t; odd : report list }
+
+let mem_bit bits k =
+  k lsr 3 < Bytes.length bits
+  && Char.code (Bytes.get bits (k lsr 3)) land (1 lsl (k land 7)) <> 0
+
+let tamper_key k bit = (2 * k) + Bit.to_int bit
+
+(* [z]'s omission key for path [pid], or [-1] when unencodable. *)
+let key ~n ~z ~pid = if pid < 0 || z < 0 || z >= n then -1 else (pid * n) + z
+
+let mem_key c k = mem_bit c.bits (2 * k) || mem_bit c.bits ((2 * k) + 1)
+
+(* A report list, hash-consed: [id] is dense per context, and [claims]
+   is built on the first non-direct probe that needs it. *)
+type canon = { id : int; value : report list; mutable claims : claims option }
+
+(* One phase-2 context per execution, shared by every honest node's
+   index and discovery. Physically distinct report lists are few (honest
+   relays forward the reporter's allocation unchanged; each tampering
+   relay allocates one flipped copy), so [seen] maps each physical list
+   to its canonical entry and only a physically new list pays for the
+   full-list hash and one structural comparison against its bucket. Two
+   tampering relays flipping in turn produce exactly such a list: a new
+   allocation, structurally equal to the original. Ids never leave the
+   context and are never serialized. *)
+type context = {
+  g : G.t;
+  n : int;
+  paths : Path_intern.t; (* phase-1 wire paths of claims and probes *)
+  mutable seen : (report list * canon) list; (* physical-identity memo *)
+  by_hash : (int, canon list) Hashtbl.t; (* full-list hash -> entries *)
+  mutable count : int;
+  disjoint : (int, int list list) Hashtbl.t; (* discover's 2f-path sets *)
+}
+
+let context g =
+  {
+    g;
+    n = G.size g;
+    paths = Path_intern.create g;
+    seen = [];
+    by_hash = Hashtbl.create 16;
+    count = 0;
+    disjoint = Hashtbl.create 16;
+  }
+
+(* Over every entry of the list, so lists that differ only in their last
+   entry land in different buckets (the polymorphic hash would stop at a
+   short prefix and put every variant of a long list in one bucket). *)
+let hash_reports (reports : report list) =
+  let mix h x = ((h * 31) + x) land max_int in
+  List.fold_left
+    (fun h (z, (m : Bit.t Flood.wire)) ->
+      let h = mix (mix h z) (Bit.to_int m.Flood.value) in
+      mix (List.fold_left (fun h u -> mix h (u + 2)) h m.Flood.path) 1)
+    0 reports
+
+let canon ctx (reports : report list) =
+  match List.assq reports ctx.seen with
+  | c -> c
+  | exception Not_found ->
+      let h = hash_reports reports in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt ctx.by_hash h) in
+      let c =
+        match
+          List.find_opt (fun c -> compare_reports c.value reports = 0) bucket
+        with
+        | Some c -> c
+        | None ->
+            let c = { id = ctx.count; value = reports; claims = None } in
+            ctx.count <- ctx.count + 1;
+            Hashtbl.replace ctx.by_hash h (c :: bucket);
+            c
+      in
+      ctx.seen <- (reports, c) :: ctx.seen;
+      c
+
+let canonical_id ctx reports = (canon ctx reports).id
+
+let encode ctx ~z path = key ~n:ctx.n ~z ~pid:(Path_intern.intern ctx.paths path)
+
+let claims_of ctx (reports : report list) =
+  let keys = Array.make (List.length reports) 0 in
+  let count = ref 0 and top = ref 0 and odd = ref [] in
+  List.iter
+    (fun ((z, m) as r : report) ->
+      let k = encode ctx ~z m.Flood.path in
+      if k < 0 then odd := r :: !odd
+      else begin
+        let tk = tamper_key k m.Flood.value in
+        keys.(!count) <- tk;
+        incr count;
+        top := Int.max !top tk
+      end)
+    reports;
+  let bits = Bytes.make ((!top lsr 3) + 1) '\000' in
+  for i = 0 to !count - 1 do
+    let b = keys.(i) lsr 3 in
+    Bytes.set bits b
+      (Char.unsafe_chr
+         (Char.code (Bytes.get bits b) lor (1 lsl (keys.(i) land 7))))
+  done;
+  { bits; odd = !odd }
+
+let canon_claims ctx c =
+  match c.claims with
+  | Some cl -> cl
+  | None ->
+      let cl = claims_of ctx c.value in
+      c.claims <- Some cl;
+      cl
+
 (* Attribution index at node [me].
 
    Positive attribution — "me reliably learns z transmitted m": the
@@ -127,129 +251,142 @@ let heard_from_transcript g ~who transcript =
    literally stated only catches tampering ("forwarded 1−b") — a relay
    that omits the forward breaks Lemma C.4 undetected (found by our
    adversarial sweep; see DESIGN.md). *)
+type probes = {
+  ctx : context;
+  sent_key : f:int -> z:int -> tk:int -> bool;
+  silent_key : f:int -> z:int -> k:int -> bool;
+}
+
 type attribution = {
   sent : f:int -> z:int -> m:Bit.t Flood.wire -> bool;
   silent_on : f:int -> z:int -> path:int list -> bool;
+  probes : probes;
 }
 
-(* The records of one reporter overwhelmingly carry the same report
-   list (the reporter floods one value; only tampering relays produce
-   variants), and those lists are large — n·Σdeg entries. Grouping the
-   records by structurally-equal value means the per-claim key tables
-   are built once per distinct list and shared by every record in the
-   group, instead of being rebuilt per record: this was the dominant
-   cost of the whole algorithm. The physical-equality fast path catches
-   the relays that forwarded the reporter's allocation unchanged. *)
-type group = {
-  value : report list;
-  claims : (report, unit) Hashtbl.t; (* full (z, m) claim keys *)
-  keys : (int * int list, unit) Hashtbl.t; (* (z, path) keys, for omission *)
-  mutable masks : Packing.mask list; (* one disjointness mask per record *)
-}
-
-let attribution_index g ~me ~heard ~store2 =
-  let defaults = with_defaults g ~who:me heard in
-  let direct = Hashtbl.create 256 in
-  List.iter (fun ((z, m) : report) -> Hashtbl.replace direct (z, m) ()) defaults;
-  let heard_keys = Hashtbl.create 256 in
-  List.iter
-    (fun ((z, m) : report) -> Hashtbl.replace heard_keys (z, m.Flood.path) ())
-    defaults;
-  let equal_report (a : report) (b : report) = a == b || compare_report a b = 0 in
-  let equal_reports (a : report list) (b : report list) =
-    a == b || List.equal equal_report a b
+(* The node's records are grouped by (reporter, canonical list): a
+   group's claim set is the canonical list's, built once per execution,
+   and a group holds one disjointness mask per record. Queries run
+   lazily per probed claim — fault discovery probes only a small subset
+   of the claim universe — and the packing certificate itself is
+   memoised across claims that collect the same masks. *)
+let attribution_index ?ctx g ~me ~heard ~store2 =
+  let ctx = match ctx with Some c -> c | None -> context g in
+  if ctx.g != g then
+    invalid_arg "Algorithm2.attribution_index: context of another graph";
+  let direct_claims = ref None in
+  let direct () =
+    match !direct_claims with
+    | Some c -> c
+    | None ->
+        let c = claims_of ctx (with_defaults g ~who:me heard) in
+        direct_claims := Some c;
+        c
   in
-  let by_reporter : (int, group list ref) Hashtbl.t = Hashtbl.create 64 in
+  let by_reporter = Array.make ctx.n [] in
   Flood.iter_records store2
     (fun ~origin:reporter ~path:_ ~sans_me:mask ~value:(reports : report list) ->
-      let groups =
-        match Hashtbl.find_opt by_reporter reporter with
-        | Some gs -> gs
-        | None ->
-            let gs = ref [] in
-            Hashtbl.replace by_reporter reporter gs;
-            gs
-      in
-      let group =
-        match
-          List.find_opt (fun grp -> equal_reports grp.value reports) !groups
-        with
-        | Some grp -> grp
-        | None ->
-            let len = List.length reports + 1 in
-            let claims = Hashtbl.create len in
-            let keys = Hashtbl.create len in
-            List.iter
-              (fun ((z, m) as claim : report) ->
-                Hashtbl.replace claims claim ();
-                Hashtbl.replace keys (z, m.Flood.path) ())
-              reports;
-            let grp = { value = reports; claims; keys; masks = [] } in
-            groups := grp :: !groups;
-            grp
-      in
-      group.masks <- mask :: group.masks);
-  let groups_of y =
-    match Hashtbl.find_opt by_reporter y with Some gs -> !gs | None -> []
-  in
-  (* The supporting masks for a positive claim (z, m): every record whose
-     reporter is a neighbour of z, whose report list contains the claim,
-     and whose path avoids z (z's bit in the mask detects membership; me
-     itself is excluded from the masks and handled upfront). Computed
-     lazily per queried claim — fault discovery probes only a small
-     subset of the claim universe — and the packing certificate itself is
-     memoised across claims that collect the same masks. *)
-  let pcache = Packing.Cache.create () in
+      let c = canon ctx reports in
+      let groups = by_reporter.(reporter) in
+      match List.find_opt (fun (c', _) -> Int.equal c'.id c.id) groups with
+      | Some (_, masks) -> masks := mask :: !masks
+      | None -> by_reporter.(reporter) <- (c, ref [ mask ]) :: groups);
+  (* The supporting masks for a claim about [z]: every record whose
+     reporter is a neighbour of z, whose list passes [keep], and whose
+     path avoids z (z's bit in the mask detects membership; me itself is
+     excluded from the masks and handled upfront). *)
   let support_masks ~z ~keep =
     let masks = ref [] in
     Nodeset.iter
       (fun y ->
         List.iter
-          (fun grp ->
-            if keep grp then
+          (fun (c, group) ->
+            if keep c then
               List.iter
                 (fun mask ->
                   if not (Packing.mem mask z) then masks := mask :: !masks)
-                grp.masks)
-          (groups_of y))
+                !group)
+          by_reporter.(y))
       (G.neighbors g z);
     !masks
   in
-  let sent_cache = Hashtbl.create 256 in
-  let sent ~f ~z ~(m : Bit.t Flood.wire) =
+  let pcache = Packing.Cache.create () in
+  let reliable ~f masks =
+    Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1
+  in
+  let memo cache key compute =
+    match Hashtbl.find_opt cache key with
+    | Some r -> r
+    | None ->
+        let r = compute () in
+        Hashtbl.replace cache key r;
+        r
+  in
+  let sent_cache = Hashtbl.create 64 and silent_cache = Hashtbl.create 64 in
+  let sent_key ~f ~z ~tk =
     if z = me then false (* a node never accuses itself *)
-    else if G.mem_edge g z me then Hashtbl.mem direct (z, m)
+    else if G.mem_edge g z me then mem_bit (direct ()).bits tk
     else
-      match Hashtbl.find_opt sent_cache (f, z, m) with
-      | Some r -> r
-      | None ->
-          let masks =
-            support_masks ~z ~keep:(fun grp -> Hashtbl.mem grp.claims (z, m))
-          in
-          let r = Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1 in
-          Hashtbl.replace sent_cache (f, z, m) r;
-          r
+      memo sent_cache (f, tk) (fun () ->
+          reliable ~f
+            (support_masks ~z ~keep:(fun c ->
+                 mem_bit (canon_claims ctx c).bits tk)))
   in
-  let silent_cache = Hashtbl.create 256 in
-  let silent_on ~f ~z ~path =
+  let silent_key ~f ~z ~k =
     if z = me then false
-    else if G.mem_edge g z me then not (Hashtbl.mem heard_keys (z, path))
+    else if G.mem_edge g z me then not (mem_key (direct ()) k)
     else
-      match Hashtbl.find_opt silent_cache (f, z, path) with
-      | Some r -> r
-      | None ->
-          let masks =
-            support_masks ~z ~keep:(fun grp ->
-                not (Hashtbl.mem grp.keys (z, path)))
-          in
-          let r = Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1 in
-          Hashtbl.replace silent_cache (f, z, path) r;
-          r
+      memo silent_cache (f, k) (fun () ->
+          reliable ~f
+            (support_masks ~z ~keep:(fun c ->
+                 not (mem_key (canon_claims ctx c) k))))
   in
-  { sent; silent_on }
+  (* The list-keyed fronts encode and delegate; an unencodable probe can
+     only match an unencodable claim, so it is answered from the [odd]
+     entries alone. *)
+  let sent ~f ~z ~(m : Bit.t Flood.wire) =
+    let k = encode ctx ~z m.Flood.path in
+    if k >= 0 then sent_key ~f ~z ~tk:(tamper_key k m.Flood.value)
+    else
+      let has c = List.exists (fun r -> compare_report r (z, m) = 0) c.odd in
+      if z = me then false
+      else if G.mem_edge g z me then has (direct ())
+      else
+        reliable ~f (support_masks ~z ~keep:(fun c -> has (canon_claims ctx c)))
+  in
+  let silent_on ~f ~z ~path =
+    let k = encode ctx ~z path in
+    if k >= 0 then silent_key ~f ~z ~k
+    else
+      let has c =
+        List.exists
+          (fun (z', (m : Bit.t Flood.wire)) ->
+            z' = z && Lbc_sim.Det.compare_int_list m.Flood.path path = 0)
+          c.odd
+      in
+      if z = me then false
+      else if G.mem_edge g z me then not (has (direct ()))
+      else
+        reliable ~f
+          (support_masks ~z ~keep:(fun c -> not (has (canon_claims ctx c))))
+  in
+  { sent; silent_on; probes = { ctx; sent_key; silent_key } }
+
+(* The 2f disjoint w..u paths, memoised per context: every honest node
+   scans the same ones. *)
+let disjoint_paths ctx ~limit ~w ~u =
+  let k = (((limit * ctx.n) + w) * ctx.n) + u in
+  match Hashtbl.find_opt ctx.disjoint k with
+  | Some ps -> ps
+  | None ->
+      let ps = Lbc_graph.Disjoint.disjoint_uv_paths ~limit ctx.g ~u:w ~v:u in
+      Hashtbl.replace ctx.disjoint k ps;
+      ps
 
 let discover g ~f ~me ~store1 ~(learns : attribution)
     ?(trace = fun ~w:_ ~u:_ ~path:_ ~z:_ ~kind:_ -> ()) () =
+  let { ctx; sent_key; silent_key } = learns.probes in
+  if ctx.g != g then
+    invalid_arg "Algorithm2.discover: attribution built over another graph";
   let detected = ref Nodeset.empty in
   let n = G.size g in
   for w = 0 to n - 1 do
@@ -257,41 +394,33 @@ let discover g ~f ~me ~store1 ~(learns : attribution)
       (fun b ->
         let bbar = Bit.flip b in
         for u = 0 to n - 1 do
-          if u <> w then begin
-            let paths =
-              Lbc_graph.Disjoint.disjoint_uv_paths ~limit:(2 * f) g ~u:w ~v:u
-            in
+          if u <> w then
             List.iter
               (fun p ->
                 (* Scan w..u; the transmitted message of the node at
-                   position i carries the path prefix before it. The first
-                   node with reliable tamper OR omission evidence is
-                   provably faulty. *)
-                let rec scan prefix_rev = function
+                   position i carries the path prefix before it, whose id
+                   grows by one [extend] per step. The first node with
+                   reliable tamper OR omission evidence is provably
+                   faulty. *)
+                let rec scan pid = function
                   | [] -> ()
                   | z :: rest ->
-                      let prefix = List.rev prefix_rev in
-                      if
-                        z <> me
-                        && learns.sent ~f ~z
-                             ~m:{ Flood.value = bbar; path = prefix }
+                      let k = key ~n ~z ~pid in
+                      if z <> me && sent_key ~f ~z ~tk:(tamper_key k bbar)
                       then begin
                         trace ~w ~u ~path:p ~z ~kind:"tamper";
                         Lbc_obs.Obs.incr "a2.evidence.tamper";
                         detected := Nodeset.add z !detected
                       end
-                      else if
-                        z <> me && learns.silent_on ~f ~z ~path:prefix
-                      then begin
+                      else if z <> me && silent_key ~f ~z ~k then begin
                         trace ~w ~u ~path:p ~z ~kind:"omission";
                         Lbc_obs.Obs.incr "a2.evidence.omission";
                         detected := Nodeset.add z !detected
                       end
-                      else scan (z :: prefix_rev) rest
+                      else scan (Path_intern.extend ctx.paths pid z) rest
                 in
-                scan [] p)
-              paths
-          end
+                scan Path_intern.root p)
+              (disjoint_paths ctx ~limit:(2 * f) ~w ~u)
         done)
       (Flood.reliable_values ~f store1 ~origin:w)
   done;
@@ -358,11 +487,10 @@ let flip_reports (reports : report list) : report list =
 
 (* Honest relays forward a flooded value allocation unchanged, so a
    tampering node flips the same (large) list object over and over;
-   memoizing on physical identity shares the flipped copy too, which
-   keeps the downstream attribution indexes' value-grouping on its
-   physical-equality fast path instead of re-proving structural equality
-   per record. One memo per faulty role closure, so no state crosses a
-   scenario (or a domain); the table stays small — one entry per
+   memoizing on physical identity allocates the flipped copy once, and
+   the phase-2 context then hashes and compares it once instead of once
+   per fresh copy. One memo per faulty role closure, so no state crosses
+   a scenario (or a domain); the table stays small — one entry per
    distinct value object the node ever tampers. Purely an allocation/
    sharing change: the flipped lists are structurally identical. *)
 let memoized_flip_reports () =
@@ -426,7 +554,8 @@ let run_traced ~g ~f ~inputs ~faulty
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:per_phase
       ~roles:roles2
   in
-  (* Fault discovery at each honest node *)
+  (* Fault discovery at each honest node, over one shared context *)
+  let ctx = context g in
   let detected =
     Array.init n (fun v ->
         if is_faulty v then Nodeset.empty
@@ -437,7 +566,8 @@ let run_traced ~g ~f ~inputs ~faulty
             | None -> invalid_arg "Algorithm2: missing phase-2 store"
           in
           let learns =
-            attribution_index g ~me:v ~heard:(List.rev (p1 v).heard_rev)
+            attribution_index ~ctx g ~me:v
+              ~heard:(List.rev (p1 v).heard_rev)
               ~store2
           in
           discover g ~f ~me:v ~store1:(p1 v).store1 ~learns ()

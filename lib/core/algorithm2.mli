@@ -63,23 +63,48 @@ val rounds : g:Lbc_graph.Graph.t -> int
     Exposed for diagnostics, the fault-forensics example and white-box
     tests; {!run} composes them. *)
 
-type attribution = {
+type context
+(** Per-execution phase-2 state shared by every honest node's
+    {!attribution_index} and {!discover}: report lists hash-consed to
+    dense canonical ids, the int-keyed claim set of each canonical list
+    (built on first use), the path table that claim keys are drawn from,
+    and the [2f]-disjoint path sets that discovery scans. Ids are
+    meaningful only inside one context and never serialized. Not safe to
+    share across domains. *)
+
+val context : Lbc_graph.Graph.t -> context
+(** A fresh context for one execution on this graph. *)
+
+val canonical_id : context -> report list -> int
+(** The dense id of a report list in this context: equal for
+    structurally equal lists, whether or not they are physically
+    shared, and distinct otherwise. *)
+
+type probes
+(** The id-keyed form of the queries, used by {!discover}. *)
+
+type attribution = private {
   sent : f:int -> z:int -> m:Bit.t Lbc_flood.Flood.wire -> bool;
       (** reliable positive evidence that [z] transmitted [m] in
           phase 1 *)
   silent_on : f:int -> z:int -> path:int list -> bool;
       (** reliable evidence that [z] transmitted {e nothing} whose path
           annotation is [path] *)
+  probes : probes;
 }
 
 val attribution_index :
+  ?ctx:context ->
   Lbc_graph.Graph.t ->
   me:int ->
   heard:(int * Bit.t Lbc_flood.Flood.wire) list ->
   store2:(int * Bit.t Lbc_flood.Flood.wire) list Lbc_flood.Flood.store ->
   attribution
 (** Build the phase-2 attribution queries from a node's own phase-1
-    observations and its phase-2 report store. *)
+    observations and its phase-2 report store. [ctx] (a fresh one by
+    default) must have been made for this same graph value; {!run}
+    passes one context to every honest node of an execution.
+    @raise Invalid_argument otherwise. *)
 
 val discover :
   Lbc_graph.Graph.t ->
@@ -92,7 +117,8 @@ val discover :
   Lbc_graph.Nodeset.t
 (** The fault-discovery procedure; [trace] observes each detection (the
     origin [w], the far end [u], the scanned path and the evidence
-    kind). *)
+    kind). [learns] must have been built over this same graph value.
+    @raise Invalid_argument otherwise. *)
 
 val run :
   g:Lbc_graph.Graph.t ->
