@@ -669,12 +669,14 @@ let e11 () =
   let flood_once g =
     let n = G.size g in
     let topo = Lbc_sim.Engine.topology_of_graph g in
+    (* one path table per flood, as the execution drivers build it *)
+    let paths = Lbc_flood.Path_intern.create g in
     let roles =
       Array.init n (fun v ->
           Lbc_sim.Engine.Honest
             (Lbc_flood.Flood.proc
                (Lbc_flood.Flood.create g ~me:v ~vcompare:Bit.compare
-                  ~initiate:Bit.One ~default:Bit.default ())))
+                  ~initiate:Bit.One ~default:Bit.default ~paths ())))
     in
     let r =
       Lbc_sim.Engine.run topo ~model:Lbc_sim.Engine.Local_broadcast
@@ -894,12 +896,13 @@ let bechamel_benches () =
       (Staged.stage (fun () ->
            let g = B.cycle 9 in
            let topo = Lbc_sim.Engine.topology_of_graph g in
+           let paths = Lbc_flood.Path_intern.create g in
            let roles =
              Array.init 9 (fun v ->
                  Lbc_sim.Engine.Honest
                    (Lbc_flood.Flood.proc
                       (Lbc_flood.Flood.create g ~me:v ~vcompare:Bit.compare
-                         ~initiate:Bit.One ~default:Bit.default ())))
+                         ~initiate:Bit.One ~default:Bit.default ~paths ())))
            in
            ignore
              (Lbc_sim.Engine.run topo ~model:Lbc_sim.Engine.Local_broadcast

@@ -26,6 +26,10 @@
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
+#   - pinned substrate fingerprints: the E1 grid and the quick E2 grid,
+#     each on 1 and 4 domains, must reproduce fingerprints pinned before
+#     flood stores began sharing one path table per execution — a
+#     flooding optimisation that changes any verdict or counter fails;
 #   - a perf smoke: two identical E5 runs (Algorithm 2 on circulants)
 #     must fingerprint identically, and so must a third on 4 domains;
 #     all must show packing.cache_hit > 0 (the certificate cache engages),
@@ -245,6 +249,28 @@ nfp4=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/e15_4.json")
 [ "$nfp1" = "$nfp4" ] \
   || { echo "FAIL: net fingerprint differs across domain counts"; exit 1; }
 echo "net fingerprint $nfp1 (1 vs 4 domains)"
+
+echo "== pinned substrate fingerprints (E1, E2 --quick; 1 and 4 domains) =="
+# Deterministic results of the flooding substrate, pinned: the shared
+# per-execution path table, id-carrying wires and the rule-(ii) bitset
+# are pure optimisations, so every verdict and counter must stay as it
+# was before them.
+for pin in "e1:3f15072b571ec3826b1aa1d0ff03b3f2" \
+    "e2 --quick:f708284eff931339a7e813d1f3d7a6e7"; do
+  exp=${pin%%:*}
+  want=${pin#*:}
+  for d in 1 4; do
+    # shellcheck disable=SC2086 # $exp carries the experiment's flags
+    dune exec bin/lbcast.exe -- campaign --exp $exp --domains "$d" \
+      --no-cache --out "$tmp/pin.json" > /dev/null
+    got=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/pin.json")
+    [ "$got" = "$want" ] \
+      || { echo "FAIL: --exp $exp on $d domains: fingerprint $got, pinned $want";
+           exit 1; }
+    rm -f "$tmp/pin.json"
+  done
+  echo "--exp $exp: pinned fingerprint $want on 1 and 4 domains"
+done
 
 echo "== perf smoke: packing certificate cache =="
 # Two identical E5 runs: the per-execution packing cache must actually

@@ -98,7 +98,7 @@ let fabricate st g ~me ~input ~flip =
          originator; reverse to get originator-first order. *)
       let path = walk start [ start ] len in
       let value = if Random.State.bool st then input else flip input in
-      Some { Flood.value; path }
+      Some (Flood.wire value path)
 
 let junk st g ~me ~input ~flip =
   let n = Lbc_graph.Graph.size g in
@@ -106,55 +106,56 @@ let junk st g ~me ~input ~flip =
   let path = List.init len (fun _ -> Random.State.int st (max 1 n)) in
   let value = if Random.State.bool st then input else flip input in
   ignore me;
-  { Flood.value; path }
+  Flood.wire value path
 
-let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
+let fstep ?paths kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
+  let store initiate = Flood.create g ~me ~vcompare ~initiate ~default ?paths () in
   match kind with
   | Silent -> fun ~round:_ ~inbox:_ -> []
   | Honest_behavior ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       hooked_step store ~alive:(fun _ -> true) ~rewrite:Option.some
         ~extra:no_extra
   | Crash_at r ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       hooked_step store
         ~alive:(fun round -> round < r)
         ~rewrite:Option.some ~extra:no_extra
   | Lie ->
-      let store = Flood.create g ~me ~vcompare ~initiate:(flip input) ~default () in
+      let store = store (flip input) in
       hooked_step store ~alive:(fun _ -> true) ~rewrite:Option.some
         ~extra:no_extra
   | Flip_forwards ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let rewrite (m : 'v Flood.wire) =
         if m.Flood.path = [] then Some m
-        else Some { m with Flood.value = flip m.Flood.value }
+        else Some (Flood.with_value m (flip m.Flood.value))
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Flip_from targets ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let rewrite (m : 'v Flood.wire) =
         if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then
-          Some { m with Flood.value = flip m.Flood.value }
+          Some (Flood.with_value m (flip m.Flood.value))
         else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Omit_from targets ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let rewrite (m : 'v Flood.wire) =
         if Nodeset.mem (origin_of me m) targets && m.Flood.path <> [] then None
         else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Omit_sampled salt ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let st = Random.State.make [| seed; me; salt |] in
       let rewrite (m : 'v Flood.wire) =
         if m.Flood.path <> [] && Random.State.bool st then None else Some m
       in
       hooked_step store ~alive:(fun _ -> true) ~rewrite ~extra:no_extra
   | Spurious k ->
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let st = Random.State.make [| seed; me |] in
       let extra ~round =
         ignore round;
@@ -171,7 +172,7 @@ let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
       (* Per-neighbour inconsistency: run an honest store to decide what to
          relay, then unicast true values to even-indexed neighbours and
          flipped ones to odd-indexed neighbours. *)
-      let store = Flood.create g ~me ~vcompare ~initiate:input ~default () in
+      let store = store input in
       let honest = Flood.proc store in
       let nbrs = Lbc_graph.Graph.neighbor_list g me in
       fun ~round ~inbox ->
@@ -183,6 +184,6 @@ let fstep kind ~g ~me ~vcompare ~input ~default ~flip ~seed =
                 let value =
                   if i land 1 = 0 then m.Flood.value else flip m.Flood.value
                 in
-                Engine.Unicast (v, { m with Flood.value }))
+                Engine.Unicast (v, Flood.with_value m value))
               nbrs)
           outs

@@ -53,6 +53,7 @@ val kinds_hybrid : kind list
 val pp_kind : Format.formatter -> kind -> unit
 
 val fstep :
+  ?paths:Lbc_flood.Path_intern.t ->
   kind ->
   g:Lbc_graph.Graph.t ->
   me:int ->
@@ -68,4 +69,6 @@ val fstep :
     order handed to the internal flood stores (see
     {!Lbc_flood.Flood.create}), [flip] an involution on values used by
     the tampering strategies, and [seed] makes the randomised strategies
-    deterministic. *)
+    deterministic. [paths] is the execution's intern table, handed to
+    the internal store (see {!Lbc_flood.Flood.create}); without it the
+    store keeps a private one. *)

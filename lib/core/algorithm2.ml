@@ -42,10 +42,10 @@ type p1_out = {
 let timing_valid ~heard_round (m : Bit.t Flood.wire) =
   List.length m.Flood.path = heard_round - 1
 
-let phase1_proc g ~me ~input =
+let phase1_proc g ~paths ~me ~input =
   let store1 =
     Flood.create g ~me ~vcompare:Bit.compare ~initiate:input
-      ~default:Bit.default ()
+      ~default:Bit.default ~paths ()
   in
   let st = { store1; heard_rev = [] } in
   let inner = Flood.proc store1 in
@@ -74,7 +74,7 @@ let with_defaults g ~who heard =
       (G.neighbor_list g who)
   in
   heard
-  @ List.map (fun w -> (w, { Flood.value = Bit.default; path = [] })) missing
+  @ List.map (fun w -> (w, Flood.wire Bit.default [])) missing
 
 (* Same order as the polymorphic compare this replaces: sender, then wire
    value, then wire path. All three fields must participate so that
@@ -150,18 +150,20 @@ type canon = { id : int; value : report list; mutable claims : claims option }
 type context = {
   g : G.t;
   n : int;
-  paths : Path_intern.t; (* phase-1 wire paths of claims and probes *)
+  paths : Path_intern.t;
+      (* phase-1 wire paths of claims and probes: the execution's table
+         when run by [run_traced], so claims resolve by their wire ids *)
   mutable seen : (report list * canon) list; (* physical-identity memo *)
   by_hash : (int, canon list) Hashtbl.t; (* full-list hash -> entries *)
   mutable count : int;
   disjoint : (int, int list list) Hashtbl.t; (* discover's 2f-path sets *)
 }
 
-let context g =
+let context ?paths g =
   {
     g;
     n = G.size g;
-    paths = Path_intern.create g;
+    paths = (match paths with Some p -> p | None -> Path_intern.create g);
     seen = [];
     by_hash = Hashtbl.create 16;
     count = 0;
@@ -203,12 +205,15 @@ let canonical_id ctx reports = (canon ctx reports).id
 
 let encode ctx ~z path = key ~n:ctx.n ~z ~pid:(Path_intern.intern ctx.paths path)
 
+let encode_wire ctx ~z (m : Bit.t Flood.wire) =
+  key ~n:ctx.n ~z ~pid:(Path_intern.resolve ctx.paths m.Flood.id m.Flood.path)
+
 let claims_of ctx (reports : report list) =
   let keys = Array.make (List.length reports) 0 in
   let count = ref 0 and top = ref 0 and odd = ref [] in
   List.iter
     (fun ((z, m) as r : report) ->
-      let k = encode ctx ~z m.Flood.path in
+      let k = encode_wire ctx ~z m in
       if k < 0 then odd := r :: !odd
       else begin
         let tk = tamper_key k m.Flood.value in
@@ -344,7 +349,7 @@ let attribution_index ?ctx g ~me ~heard ~store2 =
      only match an unencodable claim, so it is answered from the [odd]
      entries alone. *)
   let sent ~f ~z ~(m : Bit.t Flood.wire) =
-    let k = encode ctx ~z m.Flood.path in
+    let k = encode_wire ctx ~z m in
     if k >= 0 then sent_key ~f ~z ~tk:(tamper_key k m.Flood.value)
     else
       let has c = List.exists (fun r -> compare_report r (z, m) = 0) c.odd in
@@ -482,7 +487,7 @@ let type_a_decision g ~me ~detected ~store1 ~store3 =
 let flip_reports (reports : report list) : report list =
   List.map
     (fun (z, (m : Bit.t Flood.wire)) ->
-      (z, { m with Flood.value = Bit.flip m.Flood.value }))
+      (z, Flood.with_value m (Bit.flip m.Flood.value)))
     reports
 
 (* Honest relays forward a flooded value allocation unchanged, so a
@@ -512,14 +517,16 @@ let run_traced ~g ~f ~inputs ~faulty
   let topo = Engine.topology_of_graph g in
   let per_phase = Flood.rounds_needed g in
   let is_faulty v = Nodeset.mem v faulty in
+  (* One intern table for all three phases and the phase-2 context. *)
+  let paths = Path_intern.create g in
   (* Phase 1 *)
   let roles1 =
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep ~paths (strategy v) ~g ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip ~seed)
-        else Engine.Honest (phase1_proc g ~me:v ~input:inputs.(v)))
+        else Engine.Honest (phase1_proc g ~paths ~me:v ~input:inputs.(v)))
   in
   let r1 =
     Engine.run ~record:true topo ~model:Engine.Local_broadcast
@@ -541,21 +548,22 @@ let run_traced ~g ~f ~inputs ~faulty
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:compare_reports
+            (Strategy.fstep ~paths (strategy v) ~g ~me:v
+               ~vcompare:compare_reports
                ~input:(reports v) ~default:[] ~flip:(memoized_flip_reports ())
                ~seed:(seed + 1))
         else
           Engine.Honest
             (Flood.proc
                (Flood.create g ~me:v ~vcompare:compare_reports
-                  ~initiate:(reports v) ~default:[] ())))
+                  ~initiate:(reports v) ~default:[] ~paths ())))
   in
   let r2 =
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:per_phase
       ~roles:roles2
   in
   (* Fault discovery at each honest node, over one shared context *)
-  let ctx = context g in
+  let ctx = context ~paths g in
   let detected =
     Array.init n (fun v ->
         if is_faulty v then Nodeset.empty
@@ -594,14 +602,14 @@ let run_traced ~g ~f ~inputs ~faulty
     Array.init n (fun v ->
         if is_faulty v then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep ~paths (strategy v) ~g ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip
                ~seed:(seed + 2))
         else
           Engine.Honest
             (Flood.proc
                (Flood.create g ~me:v ~vcompare:Bit.compare
-                  ?initiate:b_decision.(v) ())))
+                  ?initiate:b_decision.(v) ~paths ())))
   in
   let r3 =
     Engine.run topo ~model:Engine.Local_broadcast ~rounds:per_phase

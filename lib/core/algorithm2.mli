@@ -72,8 +72,11 @@ type context
     meaningful only inside one context and never serialized. Not safe to
     share across domains. *)
 
-val context : Lbc_graph.Graph.t -> context
-(** A fresh context for one execution on this graph. *)
+val context : ?paths:Lbc_flood.Path_intern.t -> Lbc_graph.Graph.t -> context
+(** A fresh context for one execution on this graph. [paths] is the
+    execution's intern table (the one its phase-1 stores used), so that
+    claims resolve by the ids their wires carry; without it the context
+    interns into a private table, with the same results. *)
 
 val canonical_id : context -> report list -> int
 (** The dense id of a report list in this context: equal for

@@ -57,8 +57,8 @@ let resolve table ~n ~f =
 (* Rebuild the flood store a faulty node would have kept had it listened
    honestly, by replaying its inbox from the transcript. Used to hand the
    adversarial strategies plausible report material. *)
-let shadow_store g ~me ~initiate transcript =
-  let store = Flood.create g ~me ~vcompare:compare_msg ~initiate () in
+let shadow_store g ~paths ~me ~initiate transcript =
+  let store = Flood.create g ~me ~vcompare:compare_msg ~initiate ~paths () in
   List.iter
     (fun (round, sender, d) ->
       match d with
@@ -86,18 +86,20 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Equivocate)
     Array.iteri
       (fun v m -> List.iter (fun (l, b) -> Hashtbl.replace tables.(v) (l @ [ v ]) b) m)
       reports;
+    (* One intern table per stage, shared by every store. *)
+    let paths = Lbc_flood.Path_intern.create g in
     let roles =
       Array.init n (fun v ->
           if Nodeset.mem v faulty then
             Engine.Faulty
-              (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:compare_msg
+              (Strategy.fstep ~paths (strategy v) ~g ~me:v ~vcompare:compare_msg
                  ~input:reports.(v) ~default:[] ~flip:flip_msg
                  ~seed:(seed + (1000 * s)))
           else
             Engine.Honest
               (Flood.proc
                  (Flood.create g ~me:v ~vcompare:compare_msg
-                    ~initiate:reports.(v) ())))
+                    ~initiate:reports.(v) ~paths ())))
     in
     let result =
       Engine.run ~record:true topo ~model:Engine.Point_to_point
@@ -119,7 +121,7 @@ let run ~g ~f ~inputs ~faulty ?(strategy = fun _ -> Strategy.Equivocate)
         ignore role;
         if Nodeset.mem v faulty then
           accept v
-            (shadow_store g ~me:v ~initiate:reports.(v) result.Engine.transcript)
+            (shadow_store g ~paths ~me:v ~initiate:reports.(v) result.Engine.transcript)
         else
           match result.Engine.outputs.(v) with
           | Some store -> accept v store

@@ -7,18 +7,20 @@ let run_phase ~g ~f ~cap_f ~cap_t ~model ~inputs ~faulty ~strategy ~seed
     ~phase_idx gamma =
   let n = Lbc_graph.Graph.size g in
   let topo = Engine.topology_of_graph g in
+  (* One intern table for the whole flood, shared by every store. *)
+  let paths = Lbc_flood.Path_intern.create g in
   let roles =
     Array.init n (fun v ->
         if Nodeset.mem v faulty then
           Engine.Faulty
-            (Strategy.fstep (strategy v) ~g ~me:v ~vcompare:Bit.compare
+            (Strategy.fstep ~paths (strategy v) ~g ~me:v ~vcompare:Bit.compare
                ~input:inputs.(v) ~default:Bit.default ~flip:Bit.flip
                ~seed:(seed + (1000 * phase_idx)))
         else
           Engine.Honest
             (Flood.proc
                (Flood.create g ~me:v ~vcompare:Bit.compare ~initiate:gamma.(v)
-                  ~default:Bit.default ())))
+                  ~default:Bit.default ~paths ())))
   in
   let result = Engine.run topo ~model ~rounds:(Flood.rounds_needed g) ~roles in
   let gamma' =

@@ -2,7 +2,10 @@ module Nodeset = Lbc_graph.Nodeset
 module G = Lbc_graph.Graph
 module P = Path_intern
 
-type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list }
+type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list; id : P.id }
+
+let wire value path = { value; path; id = P.invalid }
+let with_value m value = { m with value }
 
 (* One accepted record. The full delivery path (origin .. me) is kept as
    its interned id; the two bitset views every acceptance query needs
@@ -22,8 +25,8 @@ type 'v store = {
   initiate : 'v option;
   default : 'v option;
   vcompare : 'v -> 'v -> int;
-  paths : P.t; (* per-store intern table: ids never cross stores *)
-  seen : (int, unit) Hashtbl.t; (* rule (ii) keys: wire-path id * n + sender *)
+  paths : P.t; (* the execution's intern table, or a private one *)
+  mutable seen : Bytes.t; (* rule (ii) bitset over relayed-path ids *)
   bootstrap : (int, unit) Hashtbl.t;
       (* neighbours defaulted by the missing-message rule — deliberately
          NOT in [seen]: a bootstrap entry must never mask a genuine
@@ -50,7 +53,8 @@ let record t fid value =
       Hashtbl.replace t.recs fid r;
       t.recs_rev <- r :: t.recs_rev
 
-let create g ~me ~vcompare ?initiate ?default () =
+let create g ~me ~vcompare ?initiate ?default ?paths () =
+  let paths = match paths with Some p -> p | None -> P.create g in
   let store =
     {
       g;
@@ -59,8 +63,8 @@ let create g ~me ~vcompare ?initiate ?default () =
       initiate;
       default;
       vcompare;
-      paths = P.create g;
-      seen = Hashtbl.create 64;
+      paths;
+      seen = Bytes.make 8 '\000';
       bootstrap = Hashtbl.create 8;
       recs = Hashtbl.create 64;
       recs_rev = [];
@@ -91,15 +95,30 @@ let me t = t.me
 let graph t = t.g
 let own_value t = t.initiate
 
-(* Rule (ii) keys combine the wire path and the transmitting neighbour
-   into one int. Only valid (interned, in-range) path ids reach this
-   point, so the encoding is injective. *)
-let seen_key t ~pid ~from = (pid * t.n) + from
+(* Rule (ii) keys on the relayed path Π·u: once rule (i) has passed it
+   is a valid id, and since Π is its parent and u its last node, it is
+   in bijection with the paper's key (u, Π). *)
+let seen t rid =
+  rid lsr 3 < Bytes.length t.seen
+  && Char.code (Bytes.unsafe_get t.seen (rid lsr 3)) land (1 lsl (rid land 7))
+     <> 0
+
+let mark_seen t rid =
+  let b = rid lsr 3 in
+  if b >= Bytes.length t.seen then begin
+    let grown = Bytes.make (Int.max (b + 1) (2 * Bytes.length t.seen)) '\000' in
+    Bytes.blit t.seen 0 grown 0 (Bytes.length t.seen);
+    t.seen <- grown
+  end;
+  Bytes.unsafe_set t.seen b
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.seen b) lor (1 lsl (rid land 7))))
 
 (* Rules (i)-(iv). [from] is the transmitting neighbour, [round] the
-   engine round in which the message arrived. *)
+   engine round in which the message arrived. An honest forward from a
+   store on the same table carries its path's id, so interning it is one
+   physical-equality test and [extend] one array probe. *)
 let handle t ~round ~from (m : 'v wire) =
-  let pid = P.intern t.paths m.path in
+  let pid = P.resolve t.paths m.id m.path in
   let rid = P.extend t.paths pid from in
   (* Rule (i): Π·u must be a simple path of G starting at the originator;
      physically the sender must also be our neighbour; and the timing
@@ -116,14 +135,13 @@ let handle t ~round ~from (m : 'v wire) =
     None
   end
   else begin
-    let key = seen_key t ~pid ~from in
-    if Hashtbl.mem t.seen key then begin
+    if seen t rid then begin
       (* rule (ii): anti-equivocation *)
       Lbc_obs.Obs.incr "flood.dedup_hit";
       None
     end
     else begin
-      Hashtbl.replace t.seen key ();
+      mark_seen t rid;
       if P.mem t.paths pid t.me then begin
         (* rule (iii) *)
         Lbc_obs.Obs.incr "flood.reject_own";
@@ -133,7 +151,7 @@ let handle t ~round ~from (m : 'v wire) =
         (* Rule (iv): accept and forward. *)
         Lbc_obs.Obs.incr "flood.accept";
         record t (P.extend t.paths rid t.me) m.value;
-        Some { value = m.value; path = P.path t.paths rid }
+        Some { value = m.value; path = P.path t.paths rid; id = rid }
       end
     end
   end
@@ -148,18 +166,16 @@ let synthesize_defaults t =
         List.filter_map
           (fun w ->
             (* A genuine round-1 initiation by [w] carries the empty wire
-               path, i.e. rule-(ii) key (root, w). Bootstrap entries live
-               in their own table with their own key shape, so they can
-               never mask (or be masked by) a real message. *)
-            if
-              Hashtbl.mem t.seen (seen_key t ~pid:P.root ~from:w)
-              || Hashtbl.mem t.bootstrap w
-            then None
+               path, i.e. rule-(ii) key [w] = ⊥·w. Bootstrap entries live
+               in their own table, so they can never mask (or be masked
+               by) a real message. *)
+            let wid = P.extend t.paths P.root w in
+            if seen t wid || Hashtbl.mem t.bootstrap w then None
             else begin
               Lbc_obs.Obs.incr "flood.default_synthesized";
               Hashtbl.replace t.bootstrap w ();
-              record t (P.intern t.paths [ w; t.me ]) d;
-              Some { value = d; path = [ w ] }
+              record t (P.extend t.paths wid t.me) d;
+              Some { value = d; path = P.path t.paths wid; id = wid }
             end)
           (G.neighbor_list t.g t.me)
   end
@@ -168,7 +184,9 @@ let proc t : ('v wire, 'v store) Lbc_sim.Engine.proc =
   let step ~round ~inbox =
     let initiations =
       if round = 0 then
-        match t.initiate with Some v -> [ { value = v; path = [] } ] | None -> []
+        match t.initiate with
+        | Some v -> [ { value = v; path = []; id = P.root } ]
+        | None -> []
       else []
     in
     let forwards =

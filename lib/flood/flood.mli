@@ -38,19 +38,39 @@
     The packing masks are multi-word bitsets ({!Packing.mask}), so graph
     size is not capped by the machine word.
 
-    Internally every path annotation is interned per store
-    ({!Path_intern}): the rule-(ii) dedup table and the record store key
-    on dense ints, rule (i)'s timing/validity checks read intern-time
-    facts, record node-sets are bitsets built once at accept time, and
-    disjoint-path certificates are memoised per store
-    ({!Packing.Cache}, counters [packing.cache_hit]/[packing.cache_miss]).
-    None of this is observable: records, forwards and query results are
-    byte-identical to the direct list-keyed implementation (a retained
-    reference copy is QCheck-tested against this module). *)
+    Internally every path annotation is interned in one table per
+    execution ({!Path_intern}), shared by all the stores of that
+    execution: the rule-(ii) dedup set is a bitset over relayed-path
+    ids, the record store keys on dense ints, rule (i)'s timing/validity
+    checks read intern-time facts, record node-sets are bitsets built
+    once at accept time, and disjoint-path certificates are memoised per
+    store ({!Packing.Cache}, counters
+    [packing.cache_hit]/[packing.cache_miss]). Wires carry their path's
+    id in the emitting store's table; a receiver trusts it only after a
+    physical-equality check ({!Path_intern.resolve}), so ids are never
+    serialized and never misattributed across tables. None of this is
+    observable: records, forwards and query results are byte-identical
+    to the direct list-keyed implementation (a retained reference copy
+    is QCheck-tested against this module). *)
 
-type 'v wire = { value : 'v; path : Lbc_sim.Engine.node_id list }
+type 'v wire = private {
+  value : 'v;
+  path : Lbc_sim.Engine.node_id list;
+  id : Path_intern.id;
+      (** [path]'s id in the emitting store's table, or
+          {!Path_intern.invalid} when unknown: a hint only *)
+}
 (** On-the-wire message: the flooded value and the route up to the
-    transmitter's predecessor. *)
+    transmitter's predecessor. Observable content is [(value, path)];
+    compare wires by that projection, never with [=]. *)
+
+val wire : 'v -> Lbc_sim.Engine.node_id list -> 'v wire
+(** [wire value path] builds a message whose path id is unknown — for
+    fabricated traffic, replays and tests. *)
+
+val with_value : 'v wire -> 'v -> 'v wire
+(** [with_value m v] is [m] carrying [v] instead: same path, same id (a
+    tampering relay rewrites the value, not the route). *)
 
 type 'v store
 (** Per-node flooding state and received-record store. *)
@@ -61,9 +81,10 @@ val create :
   vcompare:('v -> 'v -> int) ->
   ?initiate:'v ->
   ?default:'v ->
+  ?paths:Path_intern.t ->
   unit ->
   'v store
-(** [create g ~me ~vcompare ~initiate ~default ()] prepares a flooding
+(** [create g ~me ~vcompare ~initiate ~default ~paths ()] prepares a flooding
     instance at node [me] of graph [g]. [vcompare] is a total order on
     the flooded values whose equality must coincide with structural
     equality (e.g. [Bit.compare], [Int.compare]); it replaces the
@@ -73,7 +94,10 @@ val create :
     When [default] is given, neighbours that stay silent in round 0 are
     deemed to have flooded [default] (the paper's missing-message rule).
     Omit [default] for floods in which only some nodes initiate
-    (Algorithm 2 phase 3). *)
+    (Algorithm 2 phase 3). [paths] is the execution's intern table over
+    [g], shared with the other stores of the execution; without it the
+    store interns into a private table (same results, each store
+    re-walking every path). *)
 
 val proc : 'v store -> ('v wire, 'v store) Lbc_sim.Engine.proc
 (** The honest flooding process for the engine; its output is the store,

@@ -8,9 +8,12 @@
    length, first/last node, the node bitset, simple-path validity — is
    computed once when the trie node is created and read back in O(1).
 
-   Ids are meaningful only relative to the table that produced them
-   (they are allocation-ordered), so they are never serialized and never
-   cross an execution boundary; see README.md "Performance". *)
+   One table serves a whole execution: every store of every phase
+   interns into it, so a path is walked and allocated once, not once per
+   store. Ids are meaningful only relative to the table that produced
+   them (they are allocation-ordered); they ride on flood wires as a
+   hint ({!resolve}) but are never serialized and never trusted across
+   tables; see README.md "Performance". *)
 
 module G = Lbc_graph.Graph
 
@@ -101,6 +104,13 @@ let extend t pid u =
   end
 
 let intern t path = List.fold_left (fun pid u -> extend t pid u) root path
+
+(* Each id owns its own list allocation ([@] copies the prefix), and the
+   root owns [[]], so [id] is the id of [path] exactly when the two are
+   physically equal — whatever table the hint came from. *)
+let resolve t id path =
+  if id >= 0 && id < t.count && t.nodes.(id) == path then id
+  else intern t path
 
 let check_id t id =
   if id < 0 || id >= t.count then invalid_arg "Path_intern: invalid id"

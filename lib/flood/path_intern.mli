@@ -10,10 +10,19 @@
     the new node is fresh, and the new edge exists), the node bitset
     (rule (iii) and the packing masks) and the endpoints.
 
+    One table serves one execution: the execution drivers
+    ([Phase_driver], [Algorithm2], [Baseline_relay]) create it once and hand
+    it to every honest and faulty flood store of that execution (all
+    three phases of Algorithm 2, and its phase-2 attribution context),
+    so each path is interned and allocated once rather than once per
+    store. Stores created without a table get a private one.
+
     Invariants: ids are dense, allocation-ordered, and {e per table} —
-    they mean nothing to any other table or execution and are never
-    serialized (artifacts and fingerprints only ever see the underlying
-    node lists, which {!path} returns in origin-first wire order).
+    they mean nothing to any other table or execution. They ride on
+    flood wires as a hint, checked by {!resolve} before use, but are
+    never serialized (artifacts and fingerprints only ever see the
+    underlying node lists, which {!path} returns in origin-first wire
+    order).
     Interning never fails: a path mentioning a node outside
     [0 .. size g - 1] maps to {!invalid}, which all queries treat as
     "not a path of [g]". *)
@@ -36,6 +45,12 @@ val intern : t -> int list -> id
 (** The id of a full path, interning it (and its prefixes) on first
     sight. [intern t [] = root]; {!invalid} when any element is outside
     [0 .. size g - 1]. *)
+
+val resolve : t -> id -> int list -> id
+(** [resolve t hint path] is [intern t path], in O(1) when [hint] is
+    this table's id of that very allocation ([path t hint == path]).
+    Any other hint — unknown, stale, forged, or from another table —
+    costs one {!intern} and can never name the wrong path. *)
 
 val extend : t -> id -> int -> id
 (** [extend t pid u] is the id of [path pid · u] in O(1) (one array

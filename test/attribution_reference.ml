@@ -19,6 +19,10 @@ module Bit = Lbc_consensus.Bit
 
 type report = int * Bit.t Flood.wire
 
+(* A claim's observable content: wires also carry a path-id hint, which
+   must not take part in equality or hashing. *)
+let claim_key ((z, m) : report) = (z, (m.Flood.value, m.Flood.path))
+
 type attribution = {
   sent : f:int -> z:int -> m:Bit.t Flood.wire -> bool;
   silent_on : f:int -> z:int -> path:int list -> bool;
@@ -40,11 +44,12 @@ let with_defaults g ~who heard =
       (G.neighbor_list g who)
   in
   heard
-  @ List.map (fun w -> (w, { Flood.value = Bit.default; path = [] })) missing
+  @ List.map (fun w -> (w, Flood.wire Bit.default [])) missing
 
 type group = {
   value : report list;
-  claims : (report, unit) Hashtbl.t; (* full (z, m) claim keys *)
+  claims : (int * (Bit.t * int list), unit) Hashtbl.t;
+      (* full (z, m) claim keys *)
   keys : (int * int list, unit) Hashtbl.t; (* (z, path) keys, for omission *)
   mutable masks : Packing.mask list; (* one disjointness mask per record *)
 }
@@ -52,7 +57,7 @@ type group = {
 let attribution_index g ~me ~heard ~store2 =
   let defaults = with_defaults g ~who:me heard in
   let direct = Hashtbl.create 256 in
-  List.iter (fun ((z, m) : report) -> Hashtbl.replace direct (z, m) ()) defaults;
+  List.iter (fun r -> Hashtbl.replace direct (claim_key r) ()) defaults;
   let heard_keys = Hashtbl.create 256 in
   List.iter
     (fun ((z, m) : report) -> Hashtbl.replace heard_keys (z, m.Flood.path) ())
@@ -69,14 +74,19 @@ let attribution_index g ~me ~heard ~store2 =
             gs
       in
       let group =
-        match List.find_opt (fun grp -> grp.value = reports) !groups with
+        match
+          List.find_opt
+            (fun grp ->
+              List.map claim_key grp.value = List.map claim_key reports)
+            !groups
+        with
         | Some grp -> grp
         | None ->
             let claims = Hashtbl.create 64 in
             let keys = Hashtbl.create 64 in
             List.iter
               (fun ((z, m) as claim : report) ->
-                Hashtbl.replace claims claim ();
+                Hashtbl.replace claims (claim_key claim) ();
                 Hashtbl.replace keys (z, m.Flood.path) ())
               reports;
             let grp = { value = reports; claims; keys; masks = [] } in
@@ -106,10 +116,11 @@ let attribution_index g ~me ~heard ~store2 =
   let reliable ~f masks = Packing.Cache.count pcache masks ~limit:(f + 1) >= f + 1 in
   let sent ~f ~z ~(m : Bit.t Flood.wire) =
     if z = me then false
-    else if G.mem_edge g z me then Hashtbl.mem direct (z, m)
+    else if G.mem_edge g z me then Hashtbl.mem direct (claim_key (z, m))
     else
       reliable ~f
-        (support_masks ~z ~keep:(fun grp -> Hashtbl.mem grp.claims (z, m)))
+        (support_masks ~z ~keep:(fun grp ->
+             Hashtbl.mem grp.claims (claim_key (z, m))))
   in
   let silent_on ~f ~z ~path =
     if z = me then false
@@ -142,7 +153,7 @@ let discover g ~f ~me ~store1 ~(learns : attribution) =
                       if
                         z <> me
                         && learns.sent ~f ~z
-                             ~m:{ Flood.value = bbar; path = prefix }
+                             ~m:(Flood.wire bbar prefix)
                       then detected := Nodeset.add z !detected
                       else if z <> me && learns.silent_on ~f ~z ~path:prefix
                       then detected := Nodeset.add z !detected

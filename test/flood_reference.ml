@@ -15,11 +15,11 @@
 module Nodeset = Lbc_graph.Nodeset
 module G = Lbc_graph.Graph
 module Packing = Lbc_flood.Packing
+module Flood = Lbc_flood.Flood
 
-type 'v wire = 'v Lbc_flood.Flood.wire = {
-  value : 'v;
-  path : Lbc_sim.Engine.node_id list;
-}
+(* The reference builds its wires without a path-id hint: only their
+   [(value, path)] content is compared with the production store's. *)
+type 'v wire = 'v Flood.wire
 
 type 'v store = {
   g : G.t;
@@ -51,21 +51,22 @@ let create g ~me ?initiate ?default () =
   store
 
 let handle t ~round ~from (m : 'v wire) =
-  let relayed = m.path @ [ from ] in
+  let path = m.Flood.path in
+  let relayed = path @ [ from ] in
   if
-    List.length m.path <> round - 1
+    List.length path <> round - 1
     || (not (G.mem_edge t.g from t.me))
     || not (G.is_path t.g relayed)
   then None
   else begin
-    let key = (from, m.path) in
+    let key = (from, path) in
     if Hashtbl.mem t.seen key then None
     else begin
       Hashtbl.replace t.seen key ();
-      if List.mem t.me m.path then None
+      if List.mem t.me path then None
       else begin
-        Hashtbl.replace t.recs (relayed @ [ t.me ]) m.value;
-        Some { value = m.value; path = relayed }
+        Hashtbl.replace t.recs (relayed @ [ t.me ]) m.Flood.value;
+        Some (Flood.wire m.Flood.value relayed)
       end
     end
   end
@@ -84,7 +85,7 @@ let synthesize_defaults t =
             else begin
               Hashtbl.replace t.bootstrap w ();
               Hashtbl.replace t.recs [ w; t.me ] d;
-              Some { value = d; path = [ w ] }
+              Some (Flood.wire d [ w ])
             end)
           (G.neighbor_list t.g t.me)
   end
@@ -93,7 +94,7 @@ let proc t : ('v wire, 'v store) Lbc_sim.Engine.proc =
   let step ~round ~inbox =
     let initiations =
       if round = 0 then
-        match t.initiate with Some v -> [ { value = v; path = [] } ] | None -> []
+        match t.initiate with Some v -> [ Flood.wire v [] ] | None -> []
       else []
     in
     let forwards =

@@ -11,7 +11,9 @@
    - every sent / silent_on probe the reference discovery makes, plus a
      sent and a silent_on probe for every claim some honest node heard,
      gets the same answer from both indexes (the production one built
-     over the context the nodes share, as the algorithm builds it);
+     over one context shared by the nodes, as the algorithm builds it,
+     but on a path table of its own: the heard wires carry ids from the
+     run's table, which the index must not trust);
    - the production discovery (id-keyed probes, shared or standalone
      context) detects exactly the reference's set, which is also the
      set the run itself reported. *)
@@ -125,7 +127,9 @@ let equivalence =
       let inputs = Array.init size (fun v -> Bit.of_int ((seed lsr v) land 1)) in
       let t = A2.run_traced ~g ~f ~inputs ~faulty ~strategy ~seed () in
       let claims =
-        List.sort_uniq compare (List.concat (Array.to_list t.A2.heard))
+        List.sort_uniq
+          (fun a b -> compare (Ref.claim_key a) (Ref.claim_key b))
+          (List.concat (Array.to_list t.A2.heard))
       in
       let ctx = A2.context g in
       for v = 0 to size - 1 do
@@ -142,20 +146,17 @@ let test_hash_consing () =
   let n = G.size g in
   let entry i =
     ( i mod n,
-      {
-        Flood.value = Bit.of_int (i land 1);
-        path = [ (i + 1) mod n; (i + 3) mod n ];
-      } )
+      Flood.wire (Bit.of_int (i land 1)) [ (i + 1) mod n; (i + 3) mod n ] )
   in
   let l = List.init 60 entry in
   let flip =
     List.map (fun (z, (m : Bit.t Flood.wire)) ->
-        (z, { m with Flood.value = Bit.flip m.Flood.value }))
+        (z, Flood.with_value m (Bit.flip m.Flood.value)))
   in
   let last_changed =
     List.mapi
       (fun i ((z, m) as e) ->
-        if i = 59 then (z, { m with Flood.path = [ 5; 6; 7 ] }) else e)
+        if i = 59 then (z, Flood.wire m.Flood.value [ 5; 6; 7 ]) else e)
       l
   in
   let ctx = A2.context g in
@@ -175,7 +176,10 @@ let test_hash_consing () =
    indexes must still agree on them, and on every ordinary claim. *)
 let test_out_of_graph_claims () =
   let g = B.cycle 6 in
-  let wire value path = { Flood.value; path } in
+  let wire = Flood.wire in
+  let compare_claims a b =
+    compare (List.map Ref.claim_key a) (List.map Ref.claim_key b)
+  in
   let reports v =
     List.concat_map
       (fun z -> [ (z, wire Bit.One []); (z, wire Bit.Zero [ 99; z ]) ])
@@ -185,7 +189,8 @@ let test_out_of_graph_claims () =
     Array.init 6 (fun v ->
         Lbc_sim.Engine.Honest
           (Flood.proc
-             (Flood.create g ~me:v ~vcompare:compare ~initiate:(reports v)
+             (Flood.create g ~me:v ~vcompare:compare_claims
+                ~initiate:(reports v)
                 ~default:[] ())))
   in
   let r =

@@ -4,6 +4,7 @@
 
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
+module Path_intern = Lbc_flood.Path_intern
 module Engine = Lbc_sim.Engine
 module B = Lbc_graph.Builders
 module G = Lbc_graph.Graph
@@ -12,7 +13,12 @@ module Nodeset = Lbc_graph.Nodeset
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let wire value path = { Flood.value; path }
+let wire = Flood.wire
+
+(* Wires carry a path-id hint besides their content; assertions compare
+   the observable [(value, path)] projection. *)
+let proj (m : 'v Flood.wire) = (m.Flood.value, m.Flood.path)
+let proj_opt = Option.map proj
 
 (* ------------------------------------------------------------------ *)
 (* handle: rules (i)-(iv)                                               *)
@@ -49,7 +55,7 @@ let test_rule_ii_dedup () =
   (match Flood.handle st ~round:1 ~from:1 (wire 7 []) with
   | Some fwd ->
       check "forwards with sender appended" true
-        (fwd = wire 7 [ 1 ])
+        (proj fwd = (7, [ 1 ]))
   | None -> Alcotest.fail "first message accepted");
   (* Same (sender, path) key again - even with a different value. *)
   check "duplicate key dropped" true
@@ -87,7 +93,7 @@ let test_synthesize_defaults () =
   let (_ : int Flood.wire option) = Flood.handle st ~round:1 ~from:1 (wire 7 []) in
   let fwds = Flood.synthesize_defaults st in
   check_int "one default" 1 (List.length fwds);
-  check "default forwarded for 4" true (List.hd fwds = wire 99 [ 4 ]);
+  check "default forwarded for 4" true (proj (List.hd fwds) = (99, [ 4 ]));
   check "default recorded" true (Flood.value_along st ~path:[ 4; 0 ] = Some 99);
   (* Idempotent. *)
   check "second call empty" true (Flood.synthesize_defaults st = []);
@@ -96,7 +102,8 @@ let test_synthesize_defaults () =
      table and must not burn the rule-(ii) key [(4, ⊥)] — and it
      supersedes the synthesized record. *)
   check "late initiation accepted" true
-    (Flood.handle st ~round:1 ~from:4 (wire 7 []) = Some (wire 7 [ 4 ]));
+    (proj_opt (Flood.handle st ~round:1 ~from:4 (wire 7 []))
+    = Some (7, [ 4 ]));
   check "genuine value supersedes default" true
     (Flood.value_along st ~path:[ 4; 0 ] = Some 7);
   (* Rule (ii) still applies to the genuine message itself. *)
@@ -117,7 +124,8 @@ let test_bootstrap_not_masking () =
   check "default for 1" true (Flood.value_along st ~path:[ 1; 0 ] = Some 99);
   (* Crafted message: 1's real initiation arrives only after synthesis. *)
   check "crafted round-1 message not masked" true
-    (Flood.handle st ~round:1 ~from:1 (wire 123 []) = Some (wire 123 [ 1 ]));
+    (proj_opt (Flood.handle st ~round:1 ~from:1 (wire 123 []))
+    = Some (123, [ 1 ]));
   check "record overwritten" true
     (Flood.value_along st ~path:[ 1; 0 ] = Some 123);
   check "origin values collapse to the genuine one" true
@@ -125,6 +133,40 @@ let test_bootstrap_not_masking () =
   (* 4 stays on the default. *)
   check "silent neighbour keeps default" true
     (Flood.value_along st ~path:[ 4; 0 ] = Some 99)
+
+(* Stores share one intern table per execution, and honest forwards
+   carry their path's id in it. A receiver on another table must not
+   trust that id: here it names a different, valid path there (one whose
+   rule-(iii) answer differs), so a receiver that skipped the ownership
+   check would drop the message as "path contains me". *)
+let test_cross_table_ids () =
+  let g = B.cycle 5 in
+  let ta = Path_intern.create g and tb = Path_intern.create g in
+  ignore (Path_intern.intern tb [ 0 ]);
+  let relay = Flood.create g ~me:1 ~vcompare:Int.compare ~paths:ta () in
+  let fwd =
+    match Flood.handle relay ~round:1 ~from:2 (wire 7 []) with
+    | Some m -> m
+    | None -> Alcotest.fail "initiation accepted"
+  in
+  check "forward carries its id" true
+    (fwd.Flood.id = Path_intern.intern ta [ 2 ]);
+  check "tampering keeps the id" true
+    ((Flood.with_value fwd 8).Flood.id = fwd.Flood.id);
+  check "id names another path in the receiver's table" true
+    (Path_intern.is_path tb fwd.Flood.id
+    && Path_intern.path tb fwd.Flood.id <> fwd.Flood.path);
+  let other = Flood.create g ~me:0 ~vcompare:Int.compare ~paths:tb () in
+  check "cross-table forward accepted by content" true
+    (proj_opt (Flood.handle other ~round:2 ~from:1 fwd) = Some (7, [ 2; 1 ]));
+  check "recorded along the real path" true
+    (Flood.value_along other ~path:[ 2; 1; 0 ] = Some 7);
+  let same = Flood.create g ~me:0 ~vcompare:Int.compare ~paths:ta () in
+  match Flood.handle same ~round:2 ~from:1 fwd with
+  | Some m ->
+      check "same-table forward" true (proj m = (7, [ 2; 1 ]));
+      check "same-table id" true (m.Flood.id = Path_intern.intern ta [ 2; 1 ])
+  | None -> Alcotest.fail "same-table forward accepted"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end floods on the engine                                      *)
@@ -468,6 +510,7 @@ let () =
           Alcotest.test_case "defaults" `Quick test_synthesize_defaults;
           Alcotest.test_case "bootstrap not masking" `Quick
             test_bootstrap_not_masking;
+          Alcotest.test_case "cross-table ids" `Quick test_cross_table_ids;
         ] );
       ( "end to end",
         [

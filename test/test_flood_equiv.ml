@@ -5,11 +5,16 @@
    inbox — so the comparison covers adversarial traffic (every
    broadcast-bound strategy) and chaos-perturbed delivery, not just
    clean floods — and must produce identical forwards each round and
-   identical query results afterwards. Also checks the packing
-   certificate cache against fresh counts. *)
+   identical query results afterwards. As the execution drivers do, all
+   the production stores of one execution (honest and faulty) share one
+   path table, so forwards carry ids the receiver can trust; a second
+   property splits the nodes over two tables whose ids disagree, so
+   receivers must not trust them. Also checks the packing certificate
+   cache against fresh counts. *)
 
 module Flood = Lbc_flood.Flood
 module Packing = Lbc_flood.Packing
+module Path_intern = Lbc_flood.Path_intern
 module Ref = Flood_reference
 module S = Lbc_adversary.Strategy
 module B = Lbc_graph.Builders
@@ -19,16 +24,34 @@ module Engine = Lbc_sim.Engine
 module P = Lbc_sim.Perturb
 module Obs = Lbc_obs.Obs
 
-(* One honest node driving both implementations on the same inbox. *)
-let mirrored g ~me ~initiate ~default : ('a, 'b) Engine.proc =
-  let st = Flood.create g ~me ~vcompare:Int.compare ~initiate ~default () in
+(* The observable content of a wire; the path-id hint is not part of it. *)
+let proj (m : int Flood.wire) = (m.Flood.value, m.Flood.path)
+
+(* Does [m]'s id name a path of [paths] other than [m]'s own? *)
+let misnamed paths (m : int Flood.wire) =
+  m.Flood.id > Path_intern.root
+  &&
+  match Path_intern.path paths m.Flood.id with
+  | p -> p <> m.Flood.path
+  | exception Invalid_argument _ -> false
+
+(* One honest node driving both implementations on the same inbox; the
+   production store interns into [paths]. [misnamed_rx] counts the
+   deliveries whose id names another path in [paths]. *)
+let mirrored ?misnamed_rx g ~paths ~me ~initiate ~default : ('a, 'b) Engine.proc
+    =
+  let st = Flood.create g ~me ~vcompare:Int.compare ~initiate ~default ~paths () in
   let rf = Ref.create g ~me ~initiate ~default () in
   let p = Flood.proc st in
   let q = Ref.proc rf in
   let step ~round ~inbox =
+    Option.iter
+      (fun c ->
+        List.iter (fun (_, m) -> if misnamed paths m then incr c) inbox)
+      misnamed_rx;
     let out = p.Engine.step ~round ~inbox in
     let out' = q.Engine.step ~round ~inbox in
-    if out <> out' then
+    if List.map proj out <> List.map proj out' then
       QCheck.Test.fail_reportf "node %d round %d: forwards diverge" me round;
     out
   in
@@ -92,40 +115,70 @@ let compare_stores g ~f (st, rf) =
           d d')
     (Flood.origin_values st ~origin:(Nodeset.min_elt sources))
 
+(* One lock-step execution: node [v]'s production store (honest or
+   faulty) interns into [table v]. *)
+let run_mirrored ?misnamed_rx (n, seed, kind_i, chaos_i) ~table =
+  let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
+  let table = table g in
+  let faulty = seed mod n in
+  let kind = List.nth S.kinds_lbc kind_i in
+  let roles =
+    Array.init n (fun v ->
+        if v = faulty then
+          Engine.Faulty
+            (S.fstep ~paths:(table v) kind ~g ~me:v ~vcompare:Int.compare
+               ~input:(100 + v) ~default:(-1)
+               ~flip:(fun x -> -x)
+               ~seed)
+        else
+          Engine.Honest
+            (mirrored ?misnamed_rx g ~paths:(table v) ~me:v ~initiate:(100 + v)
+               ~default:(-1)))
+  in
+  let topo = Engine.topology_of_graph g in
+  let rounds = Flood.rounds_needed g + 3 in
+  let r =
+    P.with_chaos (List.nth chaos_specs chaos_i) ~seed:(seed + 1) (fun () ->
+        Engine.run topo ~model:Engine.Local_broadcast ~rounds ~roles)
+  in
+  Array.iteri
+    (fun v out ->
+      match out with
+      | Some pair when v <> faulty -> compare_stores g ~f:1 pair
+      | _ -> ())
+    r.Engine.outputs
+
+let case_gen =
+  QCheck.(
+    quad (int_range 5 8) (int_bound 1000)
+      (int_bound (List.length S.kinds_lbc - 1))
+      (int_bound (List.length chaos_specs - 1)))
+
+(* One path table per execution, as the execution drivers build it. *)
 let equivalence =
-  QCheck.Test.make ~name:"interned flood = reference flood" ~count:60
-    QCheck.(
-      quad (int_range 5 8) (int_bound 1000)
-        (int_bound (List.length S.kinds_lbc - 1))
-        (int_bound (List.length chaos_specs - 1)))
-    (fun (n, seed, kind_i, chaos_i) ->
-      let g = B.random_augmented_circulant ~seed ~n ~k:2 ~extra:0.3 in
-      let faulty = seed mod n in
-      let kind = List.nth S.kinds_lbc kind_i in
-      let roles =
-        Array.init n (fun v ->
-            if v = faulty then
-              Engine.Faulty
-                (S.fstep kind ~g ~me:v ~vcompare:Int.compare ~input:(100 + v)
-                   ~default:(-1)
-                   ~flip:(fun x -> -x)
-                   ~seed)
-            else
-              Engine.Honest
-                (mirrored g ~me:v ~initiate:(100 + v) ~default:(-1)))
-      in
-      let topo = Engine.topology_of_graph g in
-      let rounds = Flood.rounds_needed g + 3 in
-      let r =
-        P.with_chaos (List.nth chaos_specs chaos_i) ~seed:(seed + 1) (fun () ->
-            Engine.run topo ~model:Engine.Local_broadcast ~rounds ~roles)
-      in
-      Array.iteri
-        (fun v out ->
-          match out with
-          | Some pair when v <> faulty -> compare_stores g ~f:1 pair
-          | _ -> ())
-        r.Engine.outputs;
+  QCheck.Test.make ~name:"interned flood = reference flood" ~count:60 case_gen
+    (fun case ->
+      run_mirrored case ~table:(fun g ->
+          let paths = Path_intern.create g in
+          fun _ -> paths);
+      true)
+
+(* Even nodes on one table, odd nodes on another that first interned the
+   single-node paths in reverse order, so an id one side emits names a
+   different path on the other side. The stores must ignore such ids and
+   still match the reference — and the case must actually deliver some. *)
+let cross_table =
+  QCheck.Test.make ~name:"cross-table flood = reference flood" ~count:40
+    case_gen (fun ((n, _, _, _) as case) ->
+      let misnamed_rx = ref 0 in
+      run_mirrored ~misnamed_rx case ~table:(fun g ->
+          let even = Path_intern.create g and odd = Path_intern.create g in
+          for u = n - 1 downto 0 do
+            ignore (Path_intern.intern odd [ u ])
+          done;
+          fun v -> if v land 1 = 0 then even else odd);
+      if !misnamed_rx = 0 then
+        QCheck.Test.fail_report "no delivery carried a misnamed id";
       true)
 
 (* The packing certificate cache must be a pure memo of Packing.count:
@@ -170,6 +223,7 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest equivalence;
+          QCheck_alcotest.to_alcotest cross_table;
           QCheck_alcotest.to_alcotest cache_matches_fresh;
         ] );
     ]
