@@ -280,7 +280,10 @@ let do_run g algo f t inputs faulty equivocators strategy seed chaos net
     | "a2" -> A2.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed ()
     | "a3" ->
         A3.run ~g ~f ~t ~inputs ~faulty ~equivocators ~strategy:strat ~seed ()
-    | "eig" -> EIG.run ~n ~f ~inputs ~faulty ~attack:(EIG.Equivocate seed) ()
+    | "eig" ->
+        EIG.run ~n ~f ~inputs ~faulty
+          ~attack:(EIG.attack_of_strategy ~seed strategy)
+          ~seed ()
     | "relay" -> Relay.run ~g ~f ~inputs ~faulty ~strategy:strat ~seed ()
     | other ->
         Printf.eprintf "unknown algorithm %s (auto, a1, a2, a3, eig, relay)\n"
@@ -381,13 +384,10 @@ let do_attack g lemma f t =
         exit 2
   in
   Printf.printf "%s\n" (Gadget.describe gadget);
-  let hybrid = t > 0 in
-  let proc =
-    if hybrid then A3.proc ~g ~f ~t else A1.proc ~g ~f
-  in
-  let rounds =
-    if hybrid then A3.phases ~g ~f ~t * G.size g else A1.rounds ~g ~f
-  in
+  (* Algorithm 1 is Algorithm 3's t = 0 schedule. *)
+  let t = max t 0 in
+  let proc = A3.proc ~g ~f ~t in
+  let rounds = A3.phases ~g ~f ~t * G.size g in
   Printf.printf "running Algorithm 1 on the doubled network (%d nodes, %d \
                  rounds)...\n"
     (Gadget.network_size gadget)

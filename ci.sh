@@ -26,6 +26,10 @@
 #   - an E15 smoke grid under the wan network profile with drop chaos:
 #     the lbc-campaign/5 artifact must carry a simulated-time section
 #     and fingerprint identically on 1 and 4 domains;
+#   - repro pins: an EIG run must reproduce E8's recorded transmission
+#     count from its repro command (the CLI honours -s for EIG, as
+#     campaigns do), and a t = 1 Algorithm 3 run must print its pinned
+#     cost line (no campaign grid runs Algorithm 3);
 #   - pinned substrate fingerprints: the E1 grid and the quick E2 grid,
 #     each on 1 and 4 domains, must reproduce fingerprints pinned before
 #     flood stores began sharing one path table per execution — a
@@ -249,6 +253,17 @@ nfp4=$(dune exec bin/lbcast.exe -- report --fingerprint "$tmp/e15_4.json")
 [ "$nfp1" = "$nfp4" ] \
   || { echo "FAIL: net fingerprint differs across domain counts"; exit 1; }
 echo "net fingerprint $nfp1 (1 vs 4 domains)"
+
+echo "== repro pins: EIG strategy mapping, Algorithm 3 cost =="
+dune exec bin/lbcast.exe -- run -g complete:7 --algo eig -f 2 --faulty 1,4 \
+  -s lie -i 1111111 | tee "$tmp/eig_run.txt"
+grep -q ' 21 transmissions' "$tmp/eig_run.txt" \
+  || { echo "FAIL: EIG -s lie run does not reproduce E8's 21 transmissions";
+       exit 1; }
+dune exec bin/lbcast.exe -- run -g complete:4 -a a3 -f 1 -t 1 --faulty 2 \
+  --equivocators 2 -s equivocate -i 0110 --seed 3 | tee "$tmp/a3_run.txt"
+grep -q '^cost     : 9 phases, 36 rounds, 864 transmissions$' "$tmp/a3_run.txt" \
+  || { echo "FAIL: Algorithm 3 K4 t=1 cost line changed"; exit 1; }
 
 echo "== pinned substrate fingerprints (E1, E2 --quick; 1 and 4 domains) =="
 # Deterministic results of the flooding substrate, pinned: the shared

@@ -135,14 +135,10 @@ let run_outcome s ~seed =
       Lbc_consensus.Baseline_relay.run ~g ~f:s.f ~inputs:s.inputs
         ~faulty:s.faulty ~strategy ~seed ()
   | Eig ->
-      let attack =
-        match s.strategy with
-        | S.Silent | S.Crash_at _ -> Lbc_consensus.Baseline_eig.Silent
-        | S.Equivocate -> Lbc_consensus.Baseline_eig.Equivocate seed
-        | _ -> Lbc_consensus.Baseline_eig.Lie
-      in
       Lbc_consensus.Baseline_eig.run ~n ~f:s.f ~inputs:s.inputs
-        ~faulty:s.faulty ~attack ~seed ()
+        ~faulty:s.faulty
+        ~attack:(Lbc_consensus.Baseline_eig.attack_of_strategy ~seed s.strategy)
+        ~seed ()
   in
   let perturbed () =
     match s.chaos with

@@ -7,7 +7,8 @@
     re-estimates who flooded what along [F]-excluding paths (step (b)),
     and conditionally overwrites the state with a value received along
     [f + 1] node-disjoint [A_v v]-paths (step (c)). After all phases the
-    state is the output.
+    state is the output. This is {!Algorithm3} with [t = 0]: the
+    {!Phase_driver} schedule under {!Lbc_sim.Engine.Local_broadcast}.
 
     Correct (agreement + validity + termination) whenever the graph has
     minimum degree ≥ 2f and connectivity ≥ ⌊3f/2⌋ + 1
@@ -28,24 +29,19 @@ val proc :
   me:int ->
   input:Bit.t ->
   (Bit.t Lbc_flood.Flood.wire, Bit.t) Lbc_sim.Engine.proc
-(** The algorithm as a reactive per-node process for the engine: node
-    [me]'s complete state machine over [phases × size g] rounds (phase
-    boundaries are derived from the round number). Running one such proc
-    per node under {!Lbc_sim.Engine.run} is equivalent to {!run}; the
-    reactive form also runs unmodified on the directed gadget networks of
-    the necessity proofs ({!Lbc_lowerbound}). The output is only
-    meaningful after the full schedule of rounds. *)
+(** {!Phase_driver.proc} over [rounds ~g ~f] rounds; it also runs
+    unmodified on the directed gadget networks of the necessity proofs
+    ({!Lbc_lowerbound}). *)
 
-type phase_observation = {
+type phase_observation = Phase_driver.phase_observation = {
   phase_idx : int;
-  cap_f : Lbc_graph.Nodeset.t;  (** the phase's candidate fault set F *)
+  cap_f : Lbc_graph.Nodeset.t;
   stores : Bit.t Lbc_flood.Flood.store option array;
-      (** honest nodes' flood stores after step (a); [None] for faulty *)
-  before : Bit.t array;  (** states at the start of the phase *)
-  after : Bit.t array;  (** states after step (c) *)
+  before : Bit.t array;
+  after : Bit.t array;
 }
-(** Everything a white-box observer can see about one phase — used by the
-    lemma-level property tests and the ablation benchmarks. *)
+(** {!Phase_driver.phase_observation}, re-exported for the lemma-level
+    property tests and the ablation benchmarks. *)
 
 val run :
   g:Lbc_graph.Graph.t ->

@@ -14,7 +14,8 @@
     ⌊3(f−t)/2⌋ + 2t + 1, plus the degree (t = 0) or small-set
     neighbourhood (t > 0) bound. With [t = 0] it coincides with
     {!Algorithm1}; with [t = f] it handles the classical point-to-point
-    adversary. *)
+    adversary. It is {!Phase_driver}'s [(T, F)] schedule under
+    [Hybrid equivocators]. *)
 
 val phases : g:Lbc_graph.Graph.t -> f:int -> t:int -> int
 (** Number of [(F, T)] phases: [Σ_{j≤t} C(n,j) · Σ_{k≤f−j} C(n−j,k)]. *)
@@ -26,9 +27,8 @@ val proc :
   me:int ->
   input:Bit.t ->
   (Bit.t Lbc_flood.Flood.wire, Bit.t) Lbc_sim.Engine.proc
-(** The hybrid algorithm as a reactive per-node process over
-    [phases × size g] rounds, used to run it unmodified on the directed
-    gadget networks of the Lemma D.1/D.2 necessity proofs. *)
+(** {!Phase_driver.proc} over [phases × size g] rounds, used on the
+    directed gadget networks of the Lemma D.1/D.2 necessity proofs. *)
 
 val run :
   g:Lbc_graph.Graph.t ->

@@ -3,6 +3,12 @@ module Engine = Lbc_sim.Engine
 
 type attack = Silent | Equivocate of int | Lie
 
+let attack_of_strategy ~seed : Lbc_adversary.Strategy.kind -> attack =
+  function
+  | Silent | Crash_at _ -> Silent
+  | Equivocate -> Equivocate seed
+  | _ -> Lie
+
 (* EIG tree labels are sequences of distinct node ids, root = []. The
    value table maps a label to the value relayed along it. *)
 type msg = (int list * Bit.t) list

@@ -18,6 +18,11 @@ type attack =
           point-to-point adversary *)
   | Lie  (** consistent wrong values *)
 
+val attack_of_strategy : seed:int -> Lbc_adversary.Strategy.kind -> attack
+(** [Silent] and [Crash_at] map to [Silent], [Equivocate] to
+    [Equivocate seed], every other kind to [Lie]. Campaigns and
+    [lbcast run --algo eig] share it, so repro commands rerun the run. *)
+
 val rounds : f:int -> int
 (** [f + 1]. *)
 

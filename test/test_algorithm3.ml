@@ -24,19 +24,50 @@ let test_phase_count () =
 
 let test_t0_equals_algorithm1 () =
   (* With t = 0 the hybrid algorithm must behave exactly like
-     Algorithm 1 on the same execution. *)
-  let g = B.fig1a () in
-  let inputs = [| Bit.Zero; Bit.One; Bit.Zero; Bit.One; Bit.One |] in
-  let o1 =
-    A1.run ~g ~f:1 ~inputs ~faulty:(Nodeset.singleton 2)
-      ~strategy:(fun _ -> S.Flip_forwards) ()
+     Algorithm 1 on the same execution: the whole outcome and every
+     recorded counter agree, the decisive-phase histogram differing only
+     in its name. *)
+  let module Obs = Lbc_obs.Obs in
+  let rename (name, v) =
+    ((if name = "a3.decisive_phase" then "a1.decisive_phase" else name), v)
   in
-  let o3 =
-    A3.run ~g ~f:1 ~t:0 ~inputs ~faulty:(Nodeset.singleton 2)
-      ~strategy:(fun _ -> S.Flip_forwards) ()
-  in
-  check "same outputs" true (o1.Spec.outputs = o3.Spec.outputs);
-  check_int "same phases" o1.Spec.phases o3.Spec.phases
+  List.iter
+    (fun (label, g, f, faulty, inputs) ->
+      List.iter
+        (fun kind ->
+          let strategy _ = kind in
+          let o1, r1 =
+            Obs.record (fun () -> A1.run ~g ~f ~inputs ~faulty ~strategy ())
+          in
+          let o3, r3 =
+            Obs.record (fun () ->
+                A3.run ~g ~f ~t:0 ~inputs ~faulty ~strategy ())
+          in
+          let name = Format.asprintf "%s %a" label S.pp_kind kind in
+          check (name ^ ": outcome") true (o1 = o3);
+          check (name ^ ": counters") true
+            (r1.Obs.counters = List.map rename r3.Obs.counters);
+          check (name ^ ": stats") true
+            (r1.Obs.stats = List.map rename r3.Obs.stats))
+        [
+          S.Flip_forwards;
+          S.Omit_from (Nodeset.singleton 0);
+          S.Spurious 2;
+          S.Silent;
+        ])
+    [
+      ( "fig1a",
+        B.fig1a (),
+        1,
+        Nodeset.singleton 2,
+        [| Bit.Zero; Bit.One; Bit.Zero; Bit.One; Bit.One |] );
+      ( "C7(1,2)",
+        B.circulant 7 [ 1; 2 ],
+        2,
+        Nodeset.of_list [ 1; 4 ],
+        [| Bit.Zero; Bit.One; Bit.One; Bit.Zero; Bit.One; Bit.Zero; Bit.One |]
+      );
+    ]
 
 let test_k4_equivocator_exhaustive () =
   (* K4, f = t = 1 (the point-to-point adversary); n = 4 = 3f + 1. *)
@@ -118,6 +149,39 @@ let test_proc_equivalent_to_run () =
         (Some (Option.get out) = o.Spec.outputs.(v)))
     r.Engine.outputs
 
+let test_pinned_costs () =
+  (* Costs of two t >= 1 executions, pinned at the values the separate
+     Algorithm 3 phase loop produced before Algorithms 1 and 3 shared one
+     driver; no campaign grid runs Algorithm 3, so nothing else pins
+     them. *)
+  let module Obs = Lbc_obs.Obs in
+  let bits s =
+    Array.init (String.length s) (fun i -> Bit.of_int (Char.code s.[i] - 48))
+  in
+  List.iter
+    (fun (label, g, f, t, faulty, equivocators, kind, inputs, seed, want) ->
+      let o, r =
+        Obs.record (fun () ->
+            A3.run ~g ~f ~t ~inputs:(bits inputs)
+              ~faulty:(Nodeset.of_list faulty)
+              ~equivocators:(Nodeset.of_list equivocators)
+              ~strategy:(fun _ -> kind)
+              ~seed ())
+      in
+      let decisive = List.assoc "a3.decisive_phase" r.Obs.stats in
+      Alcotest.(check (list int))
+        (label ^ ": phases, rounds, transmissions, decisive sum")
+        want
+        [ o.Spec.phases; o.Spec.rounds; o.Spec.transmissions; decisive.Obs.sum ])
+    [
+      ( "K4 f=t=1",
+        B.complete 4, 1, 1, [ 2 ], [ 2 ], S.Equivocate, "0110", 3,
+        [ 9; 36; 864; 1 ] );
+      ( "K6 f=2 t=1",
+        B.complete 6, 2, 1, [ 1; 4 ], [ 1 ], S.Flip_forwards, "010110", 5,
+        [ 58; 348; 113_448; 0 ] );
+    ]
+
 let test_bad_args () =
   let g = B.complete 4 in
   check "t > f" true
@@ -137,6 +201,7 @@ let () =
           Alcotest.test_case "t=0 equals A1" `Quick test_t0_equals_algorithm1;
           Alcotest.test_case "proc = run" `Quick test_proc_equivalent_to_run;
           Alcotest.test_case "bad args" `Quick test_bad_args;
+          Alcotest.test_case "pinned costs" `Quick test_pinned_costs;
         ] );
       ( "adversarial",
         [

@@ -64,6 +64,37 @@ let test_eig_rounds () =
   check_int "f=1" 2 (EIG.rounds ~f:1);
   check_int "f=3" 4 (EIG.rounds ~f:3)
 
+let test_eig_attack_of_strategy () =
+  (* One mapping for campaign scenarios and [lbcast run --algo eig]. *)
+  List.iter
+    (fun (kind, want) ->
+      check
+        (Format.asprintf "%a" S.pp_kind kind)
+        true
+        (EIG.attack_of_strategy ~seed:9 kind = want))
+    [
+      (S.Silent, EIG.Silent);
+      (S.Crash_at 2, EIG.Silent);
+      (S.Equivocate, EIG.Equivocate 9);
+      (S.Lie, EIG.Lie);
+      (S.Flip_forwards, EIG.Lie);
+      (S.Honest_behavior, EIG.Lie);
+      (S.Flip_from (Nodeset.singleton 0), EIG.Lie);
+      (S.Omit_from (Nodeset.singleton 0), EIG.Lie);
+      (S.Omit_sampled 1, EIG.Lie);
+      (S.Spurious 2, EIG.Lie);
+      (S.Noise 3, EIG.Lie);
+    ];
+  (* E8's EIG scenario (K7, f = 2, faulty {1, 4}, -s lie, all ones):
+     21 transmissions, as its artifact records. *)
+  let o =
+    EIG.run ~n:7 ~f:2 ~inputs:(Array.make 7 Bit.One)
+      ~faulty:(Nodeset.of_list [ 1; 4 ])
+      ~attack:(EIG.attack_of_strategy ~seed:0 S.Lie)
+      ()
+  in
+  check_int "e8 transmissions" 21 o.Spec.transmissions
+
 let test_relay_no_faults () =
   let g = B.wheel 7 in
   let o =
@@ -120,6 +151,8 @@ let () =
           Alcotest.test_case "K4 exhaustive" `Quick test_eig_k4_exhaustive;
           Alcotest.test_case "K7 f=2" `Quick test_eig_k7_f2;
           Alcotest.test_case "rounds" `Quick test_eig_rounds;
+          Alcotest.test_case "attack of strategy" `Quick
+            test_eig_attack_of_strategy;
         ] );
       ( "relay",
         [
